@@ -1,8 +1,13 @@
 // Real-time component benchmarks (google-benchmark): hot paths of the
-// simulator itself — event engine, memory pool, torus routing, and the
-// N-Queens kernel.  These measure *host* performance, unlike the figure
-// benches which report virtual time.
+// simulator itself — event engine, memory pool, torus routing, the uGNI
+// SMSG round trip, and the N-Queens kernel.  These measure *host*
+// performance, unlike the figure benches which report virtual time.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <memory>
+#include <random>
+#include <vector>
 
 #include "apps/nqueens/solver.hpp"
 #include "gemini/network.hpp"
@@ -10,6 +15,7 @@
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "topo/torus.hpp"
+#include "ugni/ugni.hpp"
 
 namespace {
 
@@ -85,6 +91,66 @@ void BM_MemPoolAllocFree(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MemPoolAllocFree)->Arg(88)->Arg(4096)->Arg(65536);
+
+/// One SMSG message through the uGNI emulation, the way the machine layers
+/// drive it: the sender's get_or_connect + GNI_SmsgSendWTag, then the
+/// receiver's ep_for_peer + GNI_SmsgGetNextWTag + GNI_SmsgRelease, plus the
+/// credit-return event.  16,384 NICs with 4 ring peers each (+-1, +-2) are
+/// visited in shuffled order, so per-NIC state misses the cache as it does
+/// in a large run.  Reports host time per message; a trend line, not a gate.
+void BM_SmsgSendRelease(benchmark::State& state) {
+  constexpr int kNics = 16384;
+  constexpr int kOffsets[4] = {1, -1, 2, -2};
+  sim::Engine engine{sim::EngineOptions{}};
+  gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(kNics),
+                      gemini::MachineConfig{});
+  ugni::Domain dom(net);
+  sim::Context ctx(engine.scheduler(), 0);
+  sim::ScopedContext guard(ctx);
+  std::vector<ugni::gni_nic_handle_t> nics(kNics);
+  for (int i = 0; i < kNics; ++i) {
+    ugni::GNI_CdmAttach(&dom, i, i, &nics[static_cast<std::size_t>(i)]);
+    ugni::gni_cq_handle_t tx = nullptr;
+    ugni::GNI_CqCreate(nics[static_cast<std::size_t>(i)], 64, &tx);
+    nics[static_cast<std::size_t>(i)]->set_default_tx_cq(tx);
+  }
+  auto peer_of = [&](int i, int k) {
+    return (i + kOffsets[k] + kNics) % kNics;
+  };
+  for (int i = 0; i < kNics; ++i) {
+    for (int k = 0; k < 4; ++k) {
+      nics[static_cast<std::size_t>(i)]->get_or_connect(peer_of(i, k));
+    }
+  }
+  std::vector<int> order(kNics);
+  for (int i = 0; i < kNics; ++i) order[static_cast<std::size_t>(i)] = i;
+  std::shuffle(order.begin(), order.end(), std::mt19937(12345));
+
+  const std::uint64_t payload[8] = {};
+  std::size_t pos = 0;
+  int k = 0;
+  for (auto _ : state) {
+    const int src = order[pos];
+    const int dst = peer_of(src, k);
+    ugni::Ep* ep = nics[static_cast<std::size_t>(src)]->get_or_connect(dst);
+    ugni::GNI_SmsgSendWTag(ep, payload, sizeof(payload), nullptr, 0, 0, 1);
+    ctx.wait_until(ctx.now() + 100'000);  // well past the arrival
+    ugni::Ep* rx = nics[static_cast<std::size_t>(dst)]->ep_for_peer(src);
+    void* data = nullptr;
+    std::uint8_t tag = 0;
+    ugni::GNI_SmsgGetNextWTag(rx, &data, &tag);
+    benchmark::DoNotOptimize(data);
+    ugni::GNI_SmsgRelease(rx);
+    if (++pos == order.size()) {
+      pos = 0;
+      k = (k + 1) % 4;
+      engine.run();  // deliver the round's credit returns
+    }
+  }
+  engine.run();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SmsgSendRelease);
 
 void BM_NQueensSolver(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

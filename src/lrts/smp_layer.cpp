@@ -565,6 +565,7 @@ void SmpLayer::comm_handle_smsg(sim::Context& ctx, NodeState& n,
                                 int src_inst) {
   const auto& mc = machine_->options().mc;
   ugni::gni_ep_handle_t ep = n.nic->ep_for_peer(src_inst);
+  assert(ep && "SMSG event from a peer with no endpoint");
   void* data = nullptr;
   std::uint8_t tag = 0;
   SimTime arrival = ctx.now();

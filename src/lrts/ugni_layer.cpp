@@ -138,13 +138,6 @@ struct UgniLayer::PeState final : converse::LayerPeState {
   // governor (AIMD window full); drained FIFO from advance().
   std::deque<std::uint64_t> deferred_gets;
 
-  // One-entry endpoint memo for the rx drain loop: bursts of SMSG events
-  // from one peer resolve the endpoint once instead of one hash lookup
-  // per event.  Endpoints are never destroyed while the domain lives, so
-  // the memo cannot dangle.
-  std::int32_t last_peer = -1;
-  ugni::gni_ep_handle_t last_ep = nullptr;
-
   ~PeState() override {
     for (auto& p : backlog) {
       if (p.msg) ::operator delete[](p.msg, std::align_val_t{16});
@@ -626,16 +619,8 @@ bool UgniLayer::has_backlog(const converse::Pe& pe) const {
 
 void UgniLayer::handle_smsg(sim::Context& ctx, converse::Pe& pe, PeState& s,
                             int src_inst) {
-  ugni::gni_ep_handle_t ep;
-  if (src_inst == s.last_peer) {
-    ep = s.last_ep;  // burst from one peer: skip the per-event hash lookup
-  } else {
-    ep = s.nic->ep_for_peer(src_inst);
-    if (ep) {
-      s.last_peer = src_inst;
-      s.last_ep = ep;
-    }
-  }
+  ugni::gni_ep_handle_t ep = s.nic->ep_for_peer(src_inst);
+  assert(ep && "SMSG event from a peer with no endpoint");
   void* data = nullptr;
   std::uint8_t tag = 0;
   SimTime arrival = ctx.now();

@@ -466,6 +466,7 @@ void MpiComm::drain(sim::Context& ctx, RankState& s) {
 void MpiComm::handle_smsg(sim::Context& ctx, RankState& s, int src_inst) {
   const auto& mc = network_->config();
   ugni::gni_ep_handle_t ep = s.nic->ep_for_peer(src_inst);
+  assert(ep && "SMSG event from a peer with no endpoint");
   void* data = nullptr;
   std::uint8_t tag = 0;
   ugni::gni_return_t rc = ugni::GNI_SmsgGetNextWTag(ep, &data, &tag);

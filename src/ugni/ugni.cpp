@@ -93,16 +93,18 @@ void Cq::push(SimTime at, gni_cq_entry_t entry) {
     }
     return;
   }
-  if (entries_.size() + 1 > max_depth_) max_depth_ = entries_.size() + 1;
-  // Insert keeping arrival order (usually appends; out-of-order arrivals
-  // happen when a short transfer overtakes a long one).
-  auto it = entries_.end();
-  while (it != entries_.begin() && std::prev(it)->at > at) --it;
-  entries_.insert(it, Timed{at, entry});
+  insert_sorted(at, entry);
   if (notify_) {
     nic_->domain()->scheduler().schedule_at(
         at, [this, at] { notify_(at); });
   }
+}
+
+void Cq::insert_sorted(SimTime at, const gni_cq_entry_t& entry) {
+  entries_.insert_sorted(Timed{at, entry}, [](const Timed& a, const Timed& b) {
+    return a.at < b.at;
+  });
+  if (depth() > max_depth_) max_depth_ = depth();
 }
 
 // ---------------------------------------------------------------------------
@@ -114,11 +116,6 @@ Domain::~Domain() {
     delete nic->msgq();
     nic->set_msgq(nullptr);
   }
-}
-
-Nic* Domain::nic_by_inst(std::int32_t inst_id) const {
-  auto it = nic_index_.find(inst_id);
-  return it == nic_index_.end() ? nullptr : it->second;
 }
 
 void Domain::collect_metrics(trace::MetricsRegistry& reg) const {
@@ -145,9 +142,35 @@ void Domain::collect_metrics(trace::MetricsRegistry& reg) const {
   network_->collect_metrics(reg);
 }
 
-Ep* Nic::ep_for_peer(std::int32_t remote_inst) const {
-  auto it = peer_eps_.find(remote_inst);
-  return it == peer_eps_.end() ? nullptr : it->second;
+void Nic::push_peer(std::int32_t inst, Ep* ep) {
+  auto it = peer_eps_.begin() + (find_peer(inst) - peer_eps_.cbegin());
+  if (it != peer_eps_.end() && it->inst == inst) {
+    ep->shadowed_ = it->ep;
+    it->ep = ep;
+  } else {
+    peer_eps_.insert(it, Peer{inst, ep});
+  }
+}
+
+Ep* Nic::remove_peer(std::int32_t inst, Ep* ep) {
+  auto it = peer_eps_.begin() + (find_peer(inst) - peer_eps_.cbegin());
+  assert(it != peer_eps_.end() && it->inst == inst);
+  if (it->ep != ep) {
+    // A shadowed endpoint: unlink it from the chain, the current one stays.
+    Ep* prev = it->ep;
+    while (prev->shadowed_ != ep) prev = prev->shadowed_;
+    prev->shadowed_ = ep->shadowed_;
+    ep->shadowed_ = nullptr;
+    return ep;
+  }
+  Ep* next = ep->shadowed_;
+  ep->shadowed_ = nullptr;
+  if (next) {
+    it->ep = next;
+  } else {
+    peer_eps_.erase(it);
+  }
+  return next;
 }
 
 Ep* Nic::get_or_connect(std::int32_t peer, bool* established_out) {
@@ -221,14 +244,19 @@ const Nic::Region* Nic::region_of(const gni_mem_handle_t& h) const {
 
 gni_return_t GNI_CdmAttach(Domain* domain, std::int32_t inst_id, int node,
                            gni_nic_handle_t* nic_out) {
-  if (!domain || !nic_out || inst_id < 0) return GNI_RC_INVALID_PARAM;
+  if (!domain || !nic_out || inst_id < 0 || inst_id > kMaxInstId) {
+    return GNI_RC_INVALID_PARAM;
+  }
   if (node < 0 || node >= domain->network().torus().nodes()) {
     return GNI_RC_INVALID_PARAM;
   }
   if (domain->nic_by_inst(inst_id)) return GNI_RC_INVALID_STATE;
   domain->nics_.push_back(std::make_unique<Nic>(domain, inst_id, node));
   *nic_out = domain->nics_.back().get();
-  domain->nic_index_.emplace(inst_id, *nic_out);
+  auto& index = domain->nic_index_;
+  const auto slot = static_cast<std::size_t>(inst_id);
+  if (slot >= index.size()) index.resize(slot + 1, nullptr);
+  index[slot] = *nic_out;
   return GNI_RC_SUCCESS;
 }
 
@@ -312,26 +340,16 @@ gni_return_t GNI_CqErrorRecover(gni_cq_handle_t cq,
     // Insert bypassing Cq::push: recovery must not itself be dropped (the
     // queue has been drained by the owner before recovering) and must not
     // re-roll the fault injector.
-    auto it = cq->entries_.end();
-    while (it != cq->entries_.begin() && std::prev(it)->at > at) --it;
-    cq->entries_.insert(it, Cq::Timed{at, entry});
-    if (cq->entries_.size() > cq->max_depth_) {
-      cq->max_depth_ = cq->entries_.size();
-    }
+    cq->insert_sorted(at, entry);
     ++recovered;
   };
 
   // Dropped SMSG arrival events: every undelivered mailbox message must
   // have exactly one kSmsg event queued; re-synthesize the missing ones.
-  // Peers are visited in sorted order — unordered_map iteration order is
-  // not deterministic across runs and would break trace reproducibility.
+  // The peer table is sorted by instance, so the synthesized events come
+  // out in the same order on every run.
   if (nic->smsg_rx_cq_ == cq) {
-    std::vector<std::int32_t> peers;
-    peers.reserve(nic->peer_eps_.size());
-    for (const auto& [peer, ep] : nic->peer_eps_) peers.push_back(peer);
-    std::sort(peers.begin(), peers.end());
-    for (std::int32_t peer : peers) {
-      Ep* ep = nic->peer_eps_.at(peer);
+    for (const auto& [peer, ep] : nic->peer_eps_) {
       std::size_t queued = 0;
       for (const auto& te : cq->entries_) {
         if (te.entry.type == CqEventType::kSmsg &&
@@ -474,8 +492,15 @@ gni_return_t GNI_EpCreate(gni_nic_handle_t nic, gni_cq_handle_t tx_cq,
 gni_return_t GNI_EpBind(gni_ep_handle_t ep, std::int32_t remote_inst_id) {
   if (!ep || remote_inst_id < 0) return GNI_RC_INVALID_PARAM;
   if (ep->bound()) return GNI_RC_INVALID_STATE;
+  Nic* nic = ep->nic_;
   ep->remote_inst_ = remote_inst_id;
-  ep->nic_->peer_eps_[remote_inst_id] = ep;
+  nic->push_peer(remote_inst_id, ep);
+  // Link both directions: our new endpoint mirrors whatever the remote
+  // has bound back to us, and every remote endpoint bound to us (the
+  // current one and any it shadows) now mirrors the new endpoint.
+  Nic* remote = ep->remote_nic();
+  ep->peer_ep_ = remote ? remote->ep_for_peer(nic->inst_id_) : nullptr;
+  for (Ep* e = ep->peer_ep_; e; e = e->shadowed_) e->peer_ep_ = ep;
   return GNI_RC_SUCCESS;
 }
 
@@ -492,8 +517,21 @@ gni_return_t GNI_EpDestroy(gni_ep_handle_t ep) {
     --ep->nic_->domain_->smsg_channels_;
     ep->smsg_.initialized = false;
   }
-  if (ep->bound()) ep->nic_->peer_eps_.erase(ep->remote_inst_);
+  if (ep->bound()) {
+    // If `ep` was current, the remote's endpoints bound to us fall back to
+    // the endpoint it shadowed (or to nothing).
+    Nic* nic = ep->nic_;
+    Ep* current = nic->remove_peer(ep->remote_inst_, ep);
+    Nic* remote = ep->remote_nic();
+    if (current != ep && remote) {
+      for (Ep* e = remote->ep_for_peer(nic->inst_id_); e; e = e->shadowed_) {
+        e->peer_ep_ = current;
+      }
+    }
+  }
   ep->remote_inst_ = -1;
+  ep->remote_nic_ = nullptr;
+  ep->peer_ep_ = nullptr;
   return GNI_RC_SUCCESS;
 }
 
@@ -536,12 +574,15 @@ gni_return_t GNI_SmsgSendWTag(gni_ep_handle_t ep, const void* header,
 
   Nic* nic = ep->nic_;
   Domain* dom = nic->domain();
-  Nic* remote = dom->nic_by_inst(ep->remote_inst_);
-  if (!remote) return GNI_RC_INVALID_PARAM;
-  Ep* remote_ep = remote->ep_for_peer(nic->inst_id());
-  if (!remote_ep || !remote_ep->smsg_.initialized) {
+  Ep* remote_ep = ep->peer_ep_;
+  if (!remote_ep) {
+    // No NIC attached as the peer, or it has no endpoint back to us.
+    return ep->remote_nic() ? GNI_RC_INVALID_STATE : GNI_RC_INVALID_PARAM;
+  }
+  if (!remote_ep->smsg_.initialized) {
     return GNI_RC_INVALID_STATE;  // peer has not set up its mailbox
   }
+  Nic* remote = remote_ep->nic_;
 
   sim::Context& c = ctx();
   if (fault::FaultInjector* f = injector(nic)) {
@@ -632,19 +673,16 @@ gni_return_t GNI_SmsgRelease(gni_ep_handle_t ep) {
   // next reverse-direction traffic in real SMSG; modeled as a small event).
   Nic* nic = ep->nic_;
   Domain* dom = nic->domain();
-  Nic* remote = dom->nic_by_inst(ep->remote_inst_);
-  if (remote) {
-    Ep* sender_ep = remote->ep_for_peer(nic->inst_id());
-    if (sender_ep) {
-      SimTime prop = static_cast<SimTime>(dom->network().hops(
-                         nic->node(), remote->node())) *
-                     dom->config().hop_ns;
-      SimTime at = ctx().now() + prop;
-      dom->scheduler().schedule_at(at, [sender_ep, remote, at] {
-        ++sender_ep->smsg_.credits;
-        if (remote->credit_notify_) remote->credit_notify_(at);
-      });
-    }
+  if (Ep* sender_ep = ep->peer_ep_) {
+    Nic* remote = sender_ep->nic_;
+    SimTime prop = static_cast<SimTime>(dom->network().hops(
+                       nic->node(), remote->node())) *
+                   dom->config().hop_ns;
+    SimTime at = ctx().now() + prop;
+    dom->scheduler().schedule_at(at, [sender_ep, remote, at] {
+      ++sender_ep->smsg_.credits;
+      if (remote->credit_notify_) remote->credit_notify_(at);
+    });
   }
   return GNI_RC_SUCCESS;
 }
@@ -656,7 +694,7 @@ gni_return_t post_transaction(Ep* ep, gni_post_descriptor_t* desc,
   if (!ep || !desc || !ep->bound()) return GNI_RC_INVALID_PARAM;
   Nic* nic = ep->nic();
   Domain* dom = nic->domain();
-  Nic* remote = dom->nic_by_inst(ep->remote_inst());
+  Nic* remote = ep->remote_nic();
   if (!remote) return GNI_RC_INVALID_PARAM;
 
   const bool is_amo = desc->type == GNI_POST_AMO;

@@ -26,12 +26,11 @@
 // Calls must run inside a simulated PE (sim::current() != nullptr).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "gemini/network.hpp"
@@ -163,10 +162,12 @@ enum class CqEventType : std::uint8_t {
   kPostRemote,  // remote event delivered by a transaction targeting us
 };
 
+// Widest field first: 16 bytes, so a queued event (with its arrival
+// time) is 24.
 struct gni_cq_entry_t {
-  CqEventType type = CqEventType::kSmsg;
   std::uint64_t data = 0;      // post_id (local), remote data (remote events)
   std::int32_t source_inst = -1;  // sending NIC instance for SMSG events
+  CqEventType type = CqEventType::kSmsg;
 };
 
 // ---------------------------------------------------------------------------
@@ -181,10 +182,16 @@ struct gni_smsg_attr_t {
 // API functions — signatures shaped after gni_pub.h.
 // ---------------------------------------------------------------------------
 
+/// Largest instance id GNI_CdmAttach accepts.  The domain indexes NICs by
+/// instance id in a dense array, so the bound caps that array at about
+/// 128 MiB.  Runtimes use PE, rank or node numbers (dmapp adds a base of
+/// 1000), all far below it.
+constexpr std::int32_t kMaxInstId = 1 << 24;
+
 /// GNI_CdmCreate+GNI_CdmAttach equivalent: create a NIC instance bound to a
 /// torus node within the domain.  `inst_id` must be unique in the domain.
-/// Returns: SUCCESS | INVALID_PARAM (null domain/out, bad node, duplicate
-/// inst_id).
+/// Returns: SUCCESS | INVALID_PARAM (null domain/out, bad node, inst_id
+/// negative or above kMaxInstId) | INVALID_STATE (duplicate inst_id).
 gni_return_t GNI_CdmAttach(Domain* domain, std::int32_t inst_id, int node,
                            gni_nic_handle_t* nic_out);
 
@@ -250,9 +257,14 @@ gni_return_t GNI_MemDeregister(gni_nic_handle_t nic, gni_mem_handle_t* hndl);
 /// Returns: SUCCESS | INVALID_PARAM (null nic/out).
 gni_return_t GNI_EpCreate(gni_nic_handle_t nic, gni_cq_handle_t tx_cq,
                           gni_ep_handle_t* ep_out);
+/// Bind `ep` to a remote instance.  If this NIC already has an endpoint
+/// bound to that instance, `ep` shadows it: `ep` becomes the one
+/// Nic::ep_for_peer returns (and the one the peer's sends land in) until
+/// it is destroyed, after which the older endpoint is current again.
 /// Returns: SUCCESS | INVALID_PARAM (null ep, negative inst) |
 /// INVALID_STATE (already bound).
 gni_return_t GNI_EpBind(gni_ep_handle_t ep, std::int32_t remote_inst_id);
+/// Unbind `ep` and release its mailbox; the handle may be bound again.
 /// Returns: SUCCESS | INVALID_PARAM (null ep).
 gni_return_t GNI_EpDestroy(gni_ep_handle_t ep);
 
@@ -353,6 +365,59 @@ gni_return_t post_transaction(Ep* ep, gni_post_descriptor_t* desc,
 // Emulation objects.
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+/// FIFO over one vector: the live elements are [head, end).  Popped slots
+/// are reclaimed when the queue drains, or compacted away when the vector
+/// is full and at least half of it is popped, so it only grows to hold
+/// live elements.  An empty Fifo allocates nothing.
+template <typename T>
+class Fifo {
+ public:
+  using iterator = typename std::vector<T>::iterator;
+
+  bool empty() const { return head_ == v_.size(); }
+  std::size_t size() const { return v_.size() - head_; }
+  T& front() { return v_[head_]; }
+  const T& front() const { return v_[head_]; }
+  iterator begin() { return v_.begin() + static_cast<std::ptrdiff_t>(head_); }
+  iterator end() { return v_.end(); }
+
+  void pop_front() {
+    if (++head_ == v_.size()) {
+      v_.clear();
+      head_ = 0;
+    }
+  }
+  void push_back(T x) {
+    compact_if_full();
+    v_.push_back(std::move(x));
+  }
+  /// Insert `x` after the last element not greater than it under `less`,
+  /// scanning from the back (usually an append).
+  template <typename Less>
+  void insert_sorted(T x, Less less) {
+    compact_if_full();
+    auto it = v_.end();
+    const auto first = begin();
+    while (it != first && less(x, *std::prev(it))) --it;
+    v_.insert(it, std::move(x));
+  }
+
+ private:
+  void compact_if_full() {
+    if (head_ > 0 && v_.size() == v_.capacity() && 2 * head_ >= v_.size()) {
+      v_.erase(v_.begin(), begin());
+      head_ = 0;
+    }
+  }
+
+  std::vector<T> v_;
+  std::size_t head_ = 0;
+};
+
+}  // namespace detail
+
 /// A completion queue: a bounded FIFO of events plus an optional notify hook
 /// so the simulated runtime can wake an idle PE when an event lands.
 class Cq {
@@ -388,12 +453,16 @@ class Cq {
     gni_cq_entry_t entry;
   };
 
+  /// Insert keeping arrival order (usually an append; out-of-order
+  /// arrivals happen when a short transfer overtakes a long one).
+  void insert_sorted(SimTime at, const gni_cq_entry_t& entry);
+
   Nic* nic_;
   std::uint32_t capacity_;
   bool overrun_ = false;
   std::size_t max_depth_ = 0;
   std::uint64_t dropped_events_ = 0;
-  std::deque<Timed> entries_;  // kept sorted by arrival time
+  detail::Fifo<Timed> entries_;  // kept sorted by arrival time
   std::function<void(SimTime)> notify_;
 };
 
@@ -411,10 +480,22 @@ struct SmsgChannelState {
     SimTime at = 0;          // virtual arrival time
     bool delivered = false;  // returned by GetNextWTag, not yet Released
   };
-  std::deque<Msg> rx;
+  detail::Fifo<Msg> rx;
 };
 
 /// Endpoint: the addressing object for one remote NIC instance.
+///
+/// A bound endpoint holds direct links to its peer, so the per-message
+/// calls (SmsgSendWTag, SmsgRelease, PostFma/PostRdma) never look a NIC or
+/// an endpoint up by instance id:
+///   remote_nic_  the NIC bound to remote_inst_ (resolved at bind time, or
+///                on first use when that NIC attaches later);
+///   peer_ep_     the endpoint the remote NIC currently has bound back to
+///                this NIC.  Invariant, maintained by GNI_EpBind and
+///                GNI_EpDestroy on both sides:
+///                  peer_ep_ == remote->ep_for_peer(nic_->inst_id())
+///                for every bound endpoint, whatever order the two sides
+///                bind, re-bind and destroy in.
 class Ep {
  public:
   Ep(Nic* nic, Cq* tx_cq) : nic_(nic), tx_cq_(tx_cq) {}
@@ -424,12 +505,27 @@ class Ep {
   std::int32_t remote_inst() const { return remote_inst_; }
   bool bound() const { return remote_inst_ >= 0; }
 
+  /// The endpoint the remote NIC has bound back to this one, or nullptr
+  /// (unbound, or the peer has no endpoint for us yet).
+  Ep* peer_ep() const { return peer_ep_; }
+
  private:
   UGNIRT_UGNI_API_FRIENDS
+  friend class Nic;  // the peer table threads Ep::shadowed_
+
+  /// remote_nic_, resolving it if the remote NIC attached after the bind.
+  /// nullptr while no NIC with remote_inst_ exists.
+  Nic* remote_nic();
 
   Nic* nic_;
   Cq* tx_cq_;
   std::int32_t remote_inst_ = -1;
+  Nic* remote_nic_ = nullptr;
+  Ep* peer_ep_ = nullptr;
+  // An older endpoint on this NIC, bound to the same peer, that this one
+  // shadows in the peer table; it becomes current again when this one is
+  // destroyed.  Nearly always nullptr.
+  Ep* shadowed_ = nullptr;
   SmsgChannelState smsg_;
 };
 
@@ -459,8 +555,14 @@ class Nic {
   std::uint64_t registered_bytes() const { return registered_bytes_; }
   std::size_t active_regions() const { return n_active_regions_; }
 
-  /// Endpoint on this NIC bound to `remote_inst`, or nullptr.
-  Ep* ep_for_peer(std::int32_t remote_inst) const;
+  /// Endpoint on this NIC bound to `remote_inst`, or nullptr.  A binary
+  /// search of the peer table, which stays as small as the set of peers
+  /// this NIC has talked to.
+  Ep* ep_for_peer(std::int32_t remote_inst) const {
+    auto it = find_peer(remote_inst);
+    return it != peer_eps_.end() && it->inst == remote_inst ? it->ep
+                                                            : nullptr;
+  }
 
   /// Defaults used by get_or_connect for lazily created channels: the TX
   /// CQ every new endpoint binds to and the SMSG mailbox attributes both
@@ -478,9 +580,9 @@ class Nic {
   /// pinning no per-pair memory), with both mailbox registrations
   /// charged to the *initiator's* virtual time — the out-of-band
   /// datagram handshake of the real dynamic setup.  Subsequent calls are
-  /// an O(1) hash lookup with no charge.  `established_out` (optional)
-  /// reports whether this call created the channel, so callers can count
-  /// setup work.  Returns nullptr when `peer` is unknown or this NIC has
+  /// a binary search of the peer table with no charge.  `established_out`
+  /// (optional) reports whether this call created the channel, so callers
+  /// can count setup work.  Returns nullptr when `peer` is unknown or this NIC has
   /// no default TX CQ configured.  Requires a current sim context.
   Ep* get_or_connect(std::int32_t peer, bool* established_out = nullptr);
 
@@ -512,6 +614,24 @@ class Nic {
     Cq* dst_cq = nullptr;  // receives remote events for transactions here
   };
 
+  /// A peer table row: the current endpoint bound to `inst` (older ones
+  /// it shadows hang off Ep::shadowed_).
+  struct Peer {
+    std::int32_t inst;
+    Ep* ep;
+  };
+  std::vector<Peer>::const_iterator find_peer(std::int32_t inst) const {
+    return std::lower_bound(
+        peer_eps_.begin(), peer_eps_.end(), inst,
+        [](const Peer& p, std::int32_t i) { return p.inst < i; });
+  }
+  /// Make `ep` the current endpoint for `inst`, shadowing any older one.
+  void push_peer(std::int32_t inst, Ep* ep);
+  /// Remove `ep` (bound to `inst`) from the table.  Returns the endpoint
+  /// now current for `inst` (the one `ep` shadowed) if `ep` was current,
+  /// else `ep` itself.
+  Ep* remove_peer(std::int32_t inst, Ep* ep);
+
   bool handle_valid(const gni_mem_handle_t& h, std::uint64_t addr,
                     std::uint64_t len) const;
   Region* region_of(const gni_mem_handle_t& h);
@@ -528,7 +648,7 @@ class Nic {
   std::size_t n_active_regions_ = 0;
   std::uint64_t registered_bytes_ = 0;
   std::uint64_t mailbox_bytes_ = 0;
-  std::unordered_map<std::int32_t, Ep*> peer_eps_;  // bound endpoints
+  std::vector<Peer> peer_eps_;  // sorted by inst
   std::function<void(SimTime)> credit_notify_;
   // Descriptors completed but not yet claimed via GNI_GetCompleted.
   std::vector<std::pair<std::uint64_t, gni_post_descriptor_t*>> completed_;
@@ -548,9 +668,13 @@ class Domain {
   const gemini::MachineConfig& config() const { return network_->config(); }
   sim::Scheduler& scheduler() const { return network_->scheduler(); }
 
-  /// O(1) instance lookup (hash index) — on the per-send hot path, so it
-  /// must not scan the NIC table (153k NICs at full-machine scale).
-  Nic* nic_by_inst(std::int32_t inst_id) const;
+  /// The NIC attached as `inst_id`, or nullptr (negative, never
+  /// attached, or past the highest attached id).  One load from a dense
+  /// array indexed by instance id.
+  Nic* nic_by_inst(std::int32_t inst_id) const {
+    const auto i = static_cast<std::size_t>(inst_id);
+    return inst_id >= 0 && i < nic_index_.size() ? nic_index_[i] : nullptr;
+  }
   std::size_t nic_count() const { return nics_.size(); }
 
   /// Aggregate SMSG mailbox memory across the job (scalability metric).
@@ -574,11 +698,18 @@ class Domain {
 
   gemini::Network* network_;
   std::vector<std::unique_ptr<Nic>> nics_;
-  std::unordered_map<std::int32_t, Nic*> nic_index_;  // inst_id -> NIC
+  std::vector<Nic*> nic_index_;  // inst_id -> NIC, nullptr in gaps
   std::vector<std::unique_ptr<Ep>> eps_;
   std::vector<std::unique_ptr<Cq>> cqs_;
   std::uint64_t total_mailbox_bytes_ = 0;
   std::uint64_t smsg_channels_ = 0;
 };
+
+inline Nic* Ep::remote_nic() {
+  if (!remote_nic_ && bound()) {
+    remote_nic_ = nic_->domain()->nic_by_inst(remote_inst_);
+  }
+  return remote_nic_;
+}
 
 }  // namespace ugnirt::ugni

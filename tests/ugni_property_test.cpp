@@ -3,8 +3,10 @@
 // accounting invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "sim/context.hpp"
@@ -229,6 +231,169 @@ TEST_F(UgniPropertyFixture, DomainAggregatesMailboxMemory) {
   EXPECT_GT(total, 0u);
   std::uint64_t per = nic_[0]->mailbox_bytes();
   EXPECT_EQ(total, per * kNics);
+}
+
+// Seeded random sequences of attach, create+bind, bind of a second
+// endpoint to an already-bound peer, destroy, re-bind of a destroyed
+// handle, and bind before the remote NIC attaches.  After every step each
+// endpoint is checked against a reference model of the peer tables: a
+// stack per (nic, peer) of the endpoints bound there, newest on top.
+// SMSG send must succeed exactly when the model has a mirror endpoint
+// (the top of the reverse stack), the message must land in that mirror,
+// and the credit its release returns must reach the sender's current
+// endpoint.
+TEST(UgniPeerLinks, RandomBindDestroySequencesMatchReferenceModel) {
+  constexpr int kInsts = 6;
+  for (std::uint64_t seed : {1ull, 7919ull, 4242ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Engine engine{sim::EngineOptions{}};
+    gemini::Network net(engine.scheduler(), topo::Torus3D::for_nodes(8),
+                        gemini::MachineConfig{});
+    Domain dom(net);
+    std::vector<std::unique_ptr<sim::Context>> ctxs;
+    for (int i = 0; i < kInsts; ++i) {
+      ctxs.push_back(std::make_unique<sim::Context>(engine.scheduler(), i));
+    }
+    gni_nic_handle_t nics[kInsts] = {};
+    gni_cq_handle_t rx[kInsts] = {}, tx[kInsts] = {};
+    gni_smsg_attr_t attr;
+    attr.mbox_maxcredit = 1;
+
+    struct Rec {
+      gni_ep_handle_t ep;
+      int nic;
+      int peer = -1;  // model: bound peer, -1 when destroyed
+    };
+    std::vector<Rec> eps;
+    std::map<std::pair<int, int>, std::vector<gni_ep_handle_t>> stacks;
+    std::map<gni_ep_handle_t, int> credits;
+    auto top = [&](int nic, int peer) -> gni_ep_handle_t {
+      auto it = stacks.find({nic, peer});
+      return it == stacks.end() || it->second.empty() ? nullptr
+                                                      : it->second.back();
+    };
+    auto attach = [&](int i) {
+      sim::ScopedContext g(*ctxs[static_cast<std::size_t>(i)]);
+      ASSERT_EQ(GNI_CdmAttach(&dom, i, i % 8, &nics[i]), GNI_RC_SUCCESS);
+      ASSERT_EQ(GNI_CqCreate(nics[i], 1024, &rx[i]), GNI_RC_SUCCESS);
+      ASSERT_EQ(GNI_CqCreate(nics[i], 1024, &tx[i]), GNI_RC_SUCCESS);
+      nics[i]->set_smsg_rx_cq(rx[i]);
+    };
+    auto bind = [&](Rec& r, int peer) {
+      ASSERT_EQ(GNI_EpBind(r.ep, peer), GNI_RC_SUCCESS);
+      ASSERT_EQ(GNI_SmsgInit(r.ep, attr, attr), GNI_RC_SUCCESS);
+      r.peer = peer;
+      stacks[{r.nic, peer}].push_back(r.ep);
+      credits[r.ep] = 1;
+    };
+    auto create = [&](int nic, int peer) {
+      Rec r{nullptr, nic};
+      ASSERT_EQ(GNI_EpCreate(nics[nic], tx[nic], &r.ep), GNI_RC_SUCCESS);
+      bind(r, peer);
+      eps.push_back(r);
+    };
+    auto pick = [&](Rng& rng, bool live) -> Rec* {
+      std::vector<Rec*> c;
+      for (Rec& r : eps) {
+        if ((r.peer >= 0) == live) c.push_back(&r);
+      }
+      return c.empty() ? nullptr : c[rng.next_below(
+                                       static_cast<std::uint32_t>(c.size()))];
+    };
+
+    Rng rng(seed);
+    attach(0);
+    attach(1);
+    std::uint32_t payload = 0;
+    for (int step = 0; step < 150; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      std::vector<int> attached, unattached;
+      for (int i = 0; i < kInsts; ++i) {
+        (nics[i] ? attached : unattached).push_back(i);
+      }
+      const auto any_inst = [&] {
+        return static_cast<int>(rng.next_below(kInsts));
+      };
+      const std::uint32_t op = rng.next_below(9);
+      if (op == 0 && !unattached.empty()) {
+        attach(unattached[rng.next_below(
+            static_cast<std::uint32_t>(unattached.size()))]);
+      } else if (op <= 3) {
+        // May target an unattached instance (bind before remote attach)
+        // or this NIC itself.
+        const int a = attached[rng.next_below(
+            static_cast<std::uint32_t>(attached.size()))];
+        create(a, any_inst());
+      } else if (op <= 5) {
+        if (Rec* r = pick(rng, true)) {
+          const int a = r->nic, b = r->peer;
+          create(a, b);  // a second endpoint on an already-bound pair
+        }
+      } else if (op <= 7) {
+        if (Rec* r = pick(rng, true)) {
+          ASSERT_EQ(GNI_EpDestroy(r->ep), GNI_RC_SUCCESS);
+          auto& st = stacks[{r->nic, r->peer}];
+          st.erase(std::find(st.begin(), st.end(), r->ep));
+          r->peer = -1;
+        }
+      } else if (Rec* r = pick(rng, false)) {
+        bind(*r, any_inst());  // re-bind a destroyed handle
+      }
+      if (HasFatalFailure()) return;
+
+      // Peer tables and links match the model.
+      for (int a : attached) {
+        for (int b = 0; b < kInsts; ++b) {
+          ASSERT_EQ(nics[a]->ep_for_peer(b), top(a, b));
+        }
+      }
+      for (const Rec& r : eps) {
+        ASSERT_EQ(r.ep->bound(), r.peer >= 0);
+        ASSERT_EQ(r.ep->peer_ep(), r.peer >= 0 ? top(r.peer, r.nic) : nullptr);
+      }
+
+      // Every endpoint sends once; a successful send is received by the
+      // mirror and released before the next endpoint goes.
+      for (const Rec& r : eps) {
+        gni_return_t want = GNI_RC_SUCCESS;
+        gni_ep_handle_t mirror = r.peer >= 0 ? top(r.peer, r.nic) : nullptr;
+        if (r.peer < 0) {
+          want = GNI_RC_INVALID_PARAM;
+        } else if (credits[r.ep] == 0) {
+          want = GNI_RC_NOT_DONE;
+        } else if (!nics[r.peer]) {
+          want = GNI_RC_INVALID_PARAM;
+        } else if (!mirror) {
+          want = GNI_RC_INVALID_STATE;
+        }
+        ++payload;
+        {
+          sim::ScopedContext g(*ctxs[static_cast<std::size_t>(r.nic)]);
+          ASSERT_EQ(GNI_SmsgSendWTag(r.ep, &payload, sizeof(payload), nullptr,
+                                     0, 0, 5),
+                    want)
+              << "ep on " << r.nic << " bound to " << r.peer;
+        }
+        if (want != GNI_RC_SUCCESS) continue;
+        --credits[r.ep];
+        engine.run();
+        sim::ScopedContext g(*ctxs[static_cast<std::size_t>(r.peer)]);
+        gni_cq_entry_t ev;
+        ASSERT_EQ(GNI_CqWaitEvent(rx[r.peer], &ev), GNI_RC_SUCCESS);
+        ASSERT_EQ(ev.source_inst, r.nic);
+        void* data = nullptr;
+        std::uint8_t tag = 0;
+        ASSERT_EQ(GNI_SmsgGetNextWTag(mirror, &data, &tag), GNI_RC_SUCCESS);
+        std::uint32_t got = 0;
+        std::memcpy(&got, data, sizeof(got));
+        ASSERT_EQ(got, payload);
+        ASSERT_EQ(tag, 5);
+        ASSERT_EQ(GNI_SmsgRelease(mirror), GNI_RC_SUCCESS);
+        ++credits[top(r.nic, r.peer)];
+        engine.run();
+      }
+    }
+  }
 }
 
 }  // namespace

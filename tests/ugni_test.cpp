@@ -363,6 +363,29 @@ TEST_F(UgniFixture, DomainLookupAndDuplicateInstRejected) {
   EXPECT_EQ(GNI_CdmAttach(dom_.get(), 5, 999, &dup), GNI_RC_INVALID_PARAM);
 }
 
+TEST_F(UgniFixture, InstanceIdsAreBoundedAndGapsLookUpEmpty) {
+  sim::ScopedContext guard(*ctx_[0]);
+  gni_nic_handle_t nic = nullptr;
+  EXPECT_EQ(GNI_CdmAttach(dom_.get(), -1, 0, &nic), GNI_RC_INVALID_PARAM);
+  EXPECT_EQ(GNI_CdmAttach(dom_.get(), kMaxInstId + 1, 0, &nic),
+            GNI_RC_INVALID_PARAM);
+  EXPECT_EQ(nic, nullptr);
+  ASSERT_EQ(GNI_CdmAttach(dom_.get(), 7, 2, &nic), GNI_RC_SUCCESS);
+  EXPECT_EQ(dom_->nic_by_inst(7), nic);
+  EXPECT_EQ(dom_->nic_by_inst(-1), nullptr);
+  EXPECT_EQ(dom_->nic_by_inst(4), nullptr);  // unattached gap
+  EXPECT_EQ(dom_->nic_by_inst(8), nullptr);  // past the end
+  EXPECT_EQ(dom_->nic_by_inst(kMaxInstId), nullptr);
+
+  // The bound itself is accepted (the index grows to ~128 MiB here).
+  gni_nic_handle_t top = nullptr;
+  ASSERT_EQ(GNI_CdmAttach(dom_.get(), kMaxInstId, 3, &top), GNI_RC_SUCCESS);
+  EXPECT_EQ(dom_->nic_by_inst(kMaxInstId), top);
+  EXPECT_EQ(dom_->nic_by_inst(kMaxInstId - 1), nullptr);
+  EXPECT_EQ(dom_->nic_by_inst(kMaxInstId + 1), nullptr);
+  EXPECT_EQ(dom_->nic_by_inst(7), nic);
+}
+
 TEST_F(UgniFixture, CqOverrunSetsErrorState) {
   sim::ScopedContext guard(*ctx_[0]);
   gni_cq_handle_t tiny = nullptr;
