@@ -38,26 +38,31 @@ inline int nq_threshold(int n) {
   return it != kThresholds.end() ? it->second : std::max(3, n - 10);
 }
 
-/// Cost-model cache: exact below 16 (cheap enough to solve in-process),
-/// sampled above unless UGNIRT_NQ_FULL=1.
+/// Cost-model cache, one model per (n, threshold): exact tables below 16
+/// (cheap enough to solve in-process) and everywhere under
+/// UGNIRT_NQ_FULL=1, sampled models above.  Each board is solved once per
+/// threshold, however many runs and layers share it.
 class NqModels {
  public:
-  /// Returns nullptr when the run should solve exactly.
   const apps::nqueens::SubtreeCostModel* get(int n, int threshold) {
-    if (n < 16 || nq_full()) return nullptr;
     auto key = std::make_pair(n, threshold);
     auto it = cache_.find(key);
     if (it == cache_.end()) {
-      it = cache_
-               .emplace(key, apps::nqueens::SampledModel::build(
-                                 n, threshold, nq_samples()))
-               .first;
+      std::unique_ptr<apps::nqueens::SubtreeCostModel> model;
+      if (n < 16 || nq_full()) {
+        model = apps::nqueens::ExactModel::build(n, threshold);
+      } else {
+        model = apps::nqueens::SampledModel::build(n, threshold,
+                                                   nq_samples());
+      }
+      it = cache_.emplace(key, std::move(model)).first;
     }
     return it->second.get();
   }
 
  private:
-  std::map<std::pair<int, int>, std::unique_ptr<apps::nqueens::SampledModel>>
+  std::map<std::pair<int, int>,
+           std::unique_ptr<apps::nqueens::SubtreeCostModel>>
       cache_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "charm/charm.hpp"
@@ -30,6 +31,15 @@ static_assert(sizeof(TaskPayload) == 56);
 NQueensResult run_nqueens(const converse::MachineOptions& options,
                           const NQueensConfig& config,
                           trace::Tracer* tracer) {
+  // Solve the threshold subtrees before the machine exists, so the
+  // table's build scratch is gone before the machine's memory peaks.
+  std::unique_ptr<ExactModel> exact_model;
+  if (!config.model) {
+    exact_model = ExactModel::build(config.n, config.threshold);
+  }
+  const SubtreeCostModel& model =
+      config.model ? *config.model : *exact_model;
+
   auto machine = lrts::make_machine(options.layer, options);
   if (tracer) {
     tracer->set_pe_count(options.pes);
@@ -38,10 +48,6 @@ NQueensResult run_nqueens(const converse::MachineOptions& options,
   charm::Charm charm(*machine);
 
   const std::uint32_t all = (1u << config.n) - 1;
-  const ExactModel exact_model;
-  const SubtreeCostModel& model =
-      config.model ? *config.model
-                   : static_cast<const SubtreeCostModel&>(exact_model);
 
   std::vector<std::uint64_t> solutions(
       static_cast<std::size_t>(options.pes), 0);
@@ -59,7 +65,7 @@ NQueensResult run_nqueens(const converse::MachineOptions& options,
     int pe = converse::CmiMyPe();
 
     if (t.depth >= t.threshold) {
-      // Leaf: solve the remaining rows sequentially (or consult the model)
+      // Leaf: look up the subtree's work and solutions in the cost model
       // and charge the modeled sequential time.
       SolveResult r = model.subtree(t.n, t.depth, t.cols, t.diag_l, t.diag_r);
       converse::CmiChargeWork(static_cast<SimTime>(r.nodes) *

@@ -25,7 +25,8 @@ struct NQueensConfig {
   /// Sequential node cost; 13 ns/node calibrates the 2.1 GHz Magny-Cours
   /// running ParSSSE against the paper's Table I absolute times.
   SimTime ns_per_node = 13;
-  /// Cost model for threshold subtrees; nullptr = exact in-process solving.
+  /// Cost model for threshold subtrees; nullptr = an ExactModel built for
+  /// this run (n <= 21).
   const SubtreeCostModel* model = nullptr;
 };
 

@@ -7,10 +7,6 @@ namespace ugnirt::apps::nqueens {
 
 namespace {
 
-struct Prefix {
-  std::uint32_t cols, diag_l, diag_r;
-};
-
 /// Enumerate all valid placements of the first `depth` rows.
 void enumerate(std::uint32_t all, int depth, std::uint32_t cols,
                std::uint32_t diag_l, std::uint32_t diag_r,
@@ -26,6 +22,35 @@ void enumerate(std::uint32_t all, int depth, std::uint32_t cols,
     enumerate(all, depth - 1, cols | bit, ((diag_l | bit) << 1) & all,
               (diag_r | bit) >> 1, out);
   }
+}
+
+/// Reverse the low `n` bits of `x` (bits at or above n must be clear).
+std::uint32_t reverse_low_bits(int n, std::uint32_t x) {
+  x = ((x >> 1) & 0x55555555u) | ((x & 0x55555555u) << 1);
+  x = ((x >> 2) & 0x33333333u) | ((x & 0x33333333u) << 2);
+  x = ((x >> 4) & 0x0f0f0f0fu) | ((x & 0x0f0f0f0fu) << 4);
+  x = ((x >> 8) & 0x00ff00ffu) | ((x & 0x00ff00ffu) << 8);
+  x = (x >> 16) | (x << 16);
+  return x >> (32 - n);
+}
+
+/// Injective packing of a prefix on an n-wide board (3n <= 64 bits).
+std::uint64_t pack(int n, const Prefix& p) {
+  return static_cast<std::uint64_t>(p.cols) |
+         static_cast<std::uint64_t>(p.diag_l) << n |
+         static_cast<std::uint64_t>(p.diag_r) << (2 * n);
+}
+
+Prefix unpack(int n, std::uint64_t key) {
+  const std::uint64_t mask = (std::uint64_t{1} << n) - 1;
+  return Prefix{static_cast<std::uint32_t>(key & mask),
+                static_cast<std::uint32_t>((key >> n) & mask),
+                static_cast<std::uint32_t>((key >> (2 * n)) & mask)};
+}
+
+/// The key shared by a prefix and its mirror image.
+std::uint64_t canonical_key(int n, const Prefix& p) {
+  return std::min(pack(n, p), pack(n, mirror(n, p)));
 }
 
 /// SplitMix-style avalanche for prefix hashing.
@@ -46,6 +71,57 @@ std::uint64_t prefix_key(int row, std::uint32_t cols, std::uint32_t diag_l,
   return k;
 }
 
+std::vector<Prefix> enumerate_prefixes(int n, int depth) {
+  assert(n >= 1 && n < 32 && depth >= 0 && depth <= n);
+  std::vector<Prefix> out;
+  enumerate((1u << n) - 1, depth, 0, 0, 0, out);
+  return out;
+}
+
+Prefix mirror(int n, const Prefix& p) {
+  return Prefix{reverse_low_bits(n, p.cols), reverse_low_bits(n, p.diag_r),
+                reverse_low_bits(n, p.diag_l)};
+}
+
+std::unique_ptr<ExactModel> ExactModel::build(int n, int threshold) {
+  assert(n >= 1 && 3 * n <= 64 && threshold >= 0 && threshold <= n);
+  auto model = std::make_unique<ExactModel>();
+  model->n_ = n;
+  model->threshold_ = threshold;
+
+  std::vector<std::uint64_t> keys;
+  {
+    const std::vector<Prefix> prefixes = enumerate_prefixes(n, threshold);
+    keys.reserve(prefixes.size());
+    for (const Prefix& p : prefixes) keys.push_back(canonical_key(n, p));
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+  model->table_.reserve(keys.size());
+  for (std::uint64_t key : keys) {
+    const Prefix p = unpack(n, key);
+    model->table_.emplace_back(
+        key, solve(n, threshold, p.cols, p.diag_l, p.diag_r));
+  }
+  return model;
+}
+
+SolveResult ExactModel::subtree(int n, int row, std::uint32_t cols,
+                                std::uint32_t diag_l,
+                                std::uint32_t diag_r) const {
+  assert(n == n_ && row == threshold_ &&
+         "exact model built for a different (n, threshold)");
+  (void)row;
+  const std::uint64_t key = canonical_key(n, Prefix{cols, diag_l, diag_r});
+  auto it = std::lower_bound(
+      table_.begin(), table_.end(), key,
+      [](const auto& a, std::uint64_t k) { return a.first < k; });
+  assert(it != table_.end() && it->first == key &&
+         "prefix is not a valid placement of the first `threshold` rows");
+  return it->second;
+}
+
 std::unique_ptr<SampledModel> SampledModel::build(int n, int threshold,
                                                   int samples,
                                                   std::uint64_t seed) {
@@ -54,9 +130,7 @@ std::unique_ptr<SampledModel> SampledModel::build(int n, int threshold,
   model->n_ = n;
   model->threshold_ = threshold;
 
-  const std::uint32_t all = (1u << n) - 1;
-  std::vector<Prefix> prefixes;
-  enumerate(all, threshold, 0, 0, 0, prefixes);
+  std::vector<Prefix> prefixes = enumerate_prefixes(n, threshold);
   model->prefix_count_ = prefixes.size();
   if (prefixes.empty()) return model;
 

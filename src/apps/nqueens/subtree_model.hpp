@@ -8,8 +8,11 @@
 // distribution, keyed by a hash of the prefix.  This preserves the two
 // properties the scaling experiment depends on: total work magnitude and
 // the heavy-tailed per-task cost distribution that causes the end-of-run
-// load imbalance in the paper's Figure 12.  Set UGNIRT_NQ_FULL=1 to force
-// exact solving everywhere (see DESIGN.md).
+// load imbalance in the paper's Figure 12.  The exact model solves every
+// threshold subtree, once per left-right mirror pair (a prefix and its
+// mirror image root congruent subtrees).  The library never reads the
+// environment; the N-Queens benches pick a model per board size (see
+// bench/nqueens_bench_util.hpp and DESIGN.md).
 #pragma once
 
 #include <cstdint>
@@ -35,15 +38,30 @@ class SubtreeCostModel {
   virtual bool exact() const = 0;
 };
 
-/// Solves every subtree for real.
+/// Exact results for every threshold-depth subtree, solved ahead of time.
+/// A prefix and its mirror image (columns reversed) root congruent search
+/// trees with equal `nodes` and `solutions`, so the table holds one entry
+/// per distinct prefix state up to mirroring, keyed by the smaller packed
+/// state of the pair.
 class ExactModel final : public SubtreeCostModel {
  public:
+  /// Enumerate all prefixes of depth `threshold` and solve each distinct
+  /// key once.  The packed key needs 3n bits: n <= 21.
+  static std::unique_ptr<ExactModel> build(int n, int threshold);
+
   SolveResult subtree(int n, int row, std::uint32_t cols,
                       std::uint32_t diag_l,
-                      std::uint32_t diag_r) const override {
-    return solve(n, row, cols, diag_l, diag_r);
-  }
+                      std::uint32_t diag_r) const override;
   bool exact() const override { return true; }
+
+  /// Subtrees solved: distinct prefix states up to mirroring.
+  std::size_t table_size() const { return table_.size(); }
+
+ private:
+  int n_ = 0;
+  int threshold_ = 0;
+  // Sorted by canonical key.
+  std::vector<std::pair<std::uint64_t, SolveResult>> table_;
 };
 
 /// Deterministic sampling model (see file comment).
@@ -80,5 +98,19 @@ class SampledModel final : public SubtreeCostModel {
 /// Packed key for a prefix state (n, row, masks).
 std::uint64_t prefix_key(int row, std::uint32_t cols, std::uint32_t diag_l,
                          std::uint32_t diag_r);
+
+/// The attack masks of a partial placement.
+struct Prefix {
+  std::uint32_t cols = 0;
+  std::uint32_t diag_l = 0;
+  std::uint32_t diag_r = 0;
+};
+
+/// All valid placements of the first `depth` rows of an n-wide board.
+std::vector<Prefix> enumerate_prefixes(int n, int depth);
+
+/// The left-right mirror image of `p` on an n-wide board: every mask is
+/// bit-reversed, and the two diagonal directions swap.
+Prefix mirror(int n, const Prefix& p);
 
 }  // namespace ugnirt::apps::nqueens

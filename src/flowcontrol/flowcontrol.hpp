@@ -14,7 +14,7 @@
 //     EWMA update per link reservation (sample = wait/(wait+duration)),
 //     it tracks a smoothed wait fraction per directional link and per
 //     NIC.  The network also consults it for congestion-aware minimal
-//     adaptive routing (see Network::pick_route).
+//     adaptive routing (see Network::pick_order).
 //   * InjectionGovernor — owned by the uGNI LRTS layer.  An AIMD window
 //     per PE caps outstanding FMA/BTE transactions: rendezvous GETs that
 //     would exceed the window are deferred (kInjectionStall) and drained

@@ -79,9 +79,12 @@ SimTime LinkSchedule::reserve(SimTime earliest, SimTime duration,
   return candidate;
 }
 
-std::vector<topo::LinkId> Network::pick_route(int from, int to) {
+std::array<int, 3> Network::pick_order(int from, int to) {
+  static constexpr std::array<std::array<int, 3>, 6> kOrders = {{
+      {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0},
+  }};
   if (!estimator_ || !estimator_->config().adaptive_routing) {
-    return torus_.route(from, to);
+    return kOrders[0];
   }
   // Minimal adaptive routing: every permutation of the dimension
   // correction order is a minimal route; score each by the summed EWMA
@@ -89,31 +92,24 @@ std::vector<topo::LinkId> Network::pick_route(int from, int to) {
   // scored first and wins ties, so an unloaded network routes exactly
   // as stock (and so does any route confined to one dimension, where
   // all permutations coincide).
-  static constexpr std::array<std::array<int, 3>, 6> kOrders = {{
-      {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0},
-  }};
-  auto score = [this](const std::vector<topo::LinkId>& route) {
+  auto score = [this, from, to](const std::array<int, 3>& order) {
     double s = 0.0;
-    for (const auto& link : route) {
+    torus_.for_each_link(from, to, order, [&](const topo::LinkId& link) {
       s += estimator_->link_load(topo::link_index(link));
-    }
+    });
     return s;
   };
-  std::vector<topo::LinkId> best = torus_.route_order(from, to, kOrders[0]);
-  double best_score = score(best);
-  bool rerouted = false;
+  std::size_t best = 0;
+  double best_score = score(kOrders[0]);
   for (std::size_t i = 1; i < kOrders.size(); ++i) {
-    std::vector<topo::LinkId> cand =
-        torus_.route_order(from, to, kOrders[i]);
-    double s = score(cand);
+    const double s = score(kOrders[i]);
     if (s < best_score) {
-      best = std::move(cand);
+      best = i;
       best_score = s;
-      rerouted = true;
     }
   }
-  if (rerouted) ++stats_.adaptive_reroutes;
-  return best;
+  if (best != 0) ++stats_.adaptive_reroutes;
+  return kOrders[best];
 }
 
 SimTime Network::reserve_route(int from, int to, SimTime duration,
@@ -122,23 +118,25 @@ SimTime Network::reserve_route(int from, int to, SimTime duration,
   // Each Gemini ASIC serves two nodes over the Netlink (paper Fig 2):
   // traffic between ASIC siblings never enters the torus.
   if (from / 2 == to / 2) return earliest;
-  auto route = pick_route(from, to);
   // Cut-through pipelining: the head flit claims each link as it reaches
   // it, so congestion on a link only delays *downstream* hops, and idle
   // gaps before future-dated reservations are backfilled.
   SimTime cursor = earliest;
   bool waited = false;
   SimTime route_wait = 0;
-  for (const auto& link : route) {
-    const std::size_t idx = topo::link_index(link);
-    const SimTime start = links_[idx].reserve(cursor, duration, &waited);
-    if (estimator_) {
-      estimator_->on_link_reserve(idx, from, start - cursor, duration,
-                                  earliest);
-    }
-    route_wait += start - cursor;
-    cursor = start;
-  }
+  std::uint64_t route_links = 0;
+  torus_.for_each_link(
+      from, to, pick_order(from, to), [&](const topo::LinkId& link) {
+        const std::size_t idx = topo::link_index(link);
+        const SimTime start = links_[idx].reserve(cursor, duration, &waited);
+        if (estimator_) {
+          estimator_->on_link_reserve(idx, from, start - cursor, duration,
+                                      earliest);
+        }
+        route_wait += start - cursor;
+        cursor = start;
+        ++route_links;
+      });
   if (waited) ++stats_.link_conflicts;
   if (!job_of_node_.empty()) {
     // Tenancy attribution: charge the reservation (and its queueing) to
@@ -147,7 +145,7 @@ SimTime Network::reserve_route(int from, int to, SimTime duration,
     const std::int16_t job = job_of_node_[static_cast<std::size_t>(from)];
     if (job >= 0) {
       JobLinkStats& js = job_link_[static_cast<std::size_t>(job)];
-      js.reservations += route.size();
+      js.reservations += route_links;
       js.wait_ns += route_wait;
     }
   }

@@ -17,6 +17,7 @@
 // observes through TransferTimes::cpu_done.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
@@ -183,11 +184,11 @@ class Network {
   /// `earliest`; returns the actual start (>= earliest) honoring occupancy.
   SimTime reserve_route(int from, int to, SimTime duration, SimTime earliest);
 
-  /// The links a transfer will reserve: the stock dimension-ordered
-  /// route, or — under flow.adaptive_routing — the minimal dimension-
+  /// The dimension order of the route a transfer will reserve: stock
+  /// x->y->z, or — under flow.adaptive_routing — the minimal dimension-
   /// order permutation with the lowest estimated load (stock order wins
   /// ties, so an idle network routes exactly as stock).
-  std::vector<topo::LinkId> pick_route(int from, int to);
+  std::array<int, 3> pick_order(int from, int to);
 
   /// One-way wire propagation between the nodes.
   SimTime propagation(int from, int to) const {

@@ -1,8 +1,7 @@
 #include "lrts/smp_layer.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "lrts/pool_metrics.hpp"
@@ -66,7 +65,7 @@ struct SmpLayer::NodeState {
   sim::EventHandle comm_event;
   SimTime comm_avail = 0;
 
-  // Outgoing messages queued by workers.
+  // Outgoing messages queued by workers, in enqueue order.
   struct Out {
     int dest_pe = -1;
     void* msg = nullptr;
@@ -110,17 +109,7 @@ struct SmpLayer::NodeState {
 // ---------------------------------------------------------------------------
 
 SmpLayer::SmpLayer() = default;
-SmpLayer::~SmpLayer() {
-  if (std::getenv("UGNIRT_SMPDBG")) {
-    for (auto& n : nodes_) {
-      if (!n) continue;
-      std::fprintf(stderr,
-                   "node %d: outq=%zu backlog=%zu sends=%zu recvs=%zu\n",
-                   n->node, n->outq.size(), n->backlog.size(),
-                   n->sends.size(), n->recvs.size());
-    }
-  }
-}
+SmpLayer::~SmpLayer() = default;
 
 void SmpLayer::ensure_domain(converse::Machine& m) {
   if (domain_) return;
@@ -274,9 +263,6 @@ void SmpLayer::submit(sim::Context& ctx, converse::Pe& src, int dest_pe,
   void* msg = mv.msg;
   const std::uint32_t size = mv.size;
 
-  if (std::getenv("UGNIRT_SMPDBG"))
-    std::fprintf(stderr, "SEND dest=%d size=%u t=%lld\n", dest_pe, size,
-                 (long long)ctx.now());
   if (m.node_of_pe(dest_pe) == src.node()) {
     // Same address space: hand the pointer straight to the peer worker.
     ctx.charge(kSmpPtrSendNs);
@@ -360,14 +346,14 @@ void SmpLayer::comm_step(NodeState& n, SimTime t) {
 
   // 2. Stalled sends, then fresh worker traffic.  Workers enqueue with
   // their own cursors, so ready times are not monotonic across the queue:
-  // scan for everything that is ready, keeping relative order.
+  // scan for everything that is ready, keeping relative order, and
+  // compact what is not yet ready to the front of the queue in place.
   comm_flush(ctx, n);
-  std::deque<NodeState::Out> later;
-  while (!n.outq.empty()) {
-    NodeState::Out out = n.outq.front();
-    n.outq.pop_front();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n.outq.size(); ++i) {
+    const NodeState::Out out = n.outq[i];
     if (out.ready > ctx.now()) {
-      later.push_back(out);
+      n.outq[kept++] = out;
       continue;
     }
     ctx.charge(kSmpDequeueNs);
@@ -378,7 +364,7 @@ void SmpLayer::comm_step(NodeState& n, SimTime t) {
     }
     begin_node_rendezvous(ctx, n, out.dest_pe, out.size, out.msg);
   }
-  n.outq.swap(later);
+  n.outq.resize(kept);
 
   n.comm_avail = ctx.now();
   if (!n.outq.empty() || !n.backlog.empty()) {
@@ -429,57 +415,40 @@ void SmpLayer::comm_send(sim::Context& ctx, NodeState& n, int dest_pe,
                          std::uint32_t len, void* owned_msg) {
   const int dest_node = machine_->node_of_pe(dest_pe);
   ugni::gni_ep_handle_t ep = connect(n, dest_node);
-  // The worker-level destination rides in the first payload bytes for
-  // kTagData (the Converse envelope) and inside InitCtrl otherwise, so the
-  // SMSG itself needs no extra routing field — but data messages must tell
-  // the remote comm thread which worker to hand off to.  We prepend a
-  // 4-byte dest for data messages.
-  if (tag == kTagData) {
-    std::vector<std::uint8_t> wire(4 + len);
-    std::int32_t d32 = dest_pe;
-    std::memcpy(wire.data(), &d32, 4);
-    std::memcpy(wire.data() + 4, bytes, len);
-    if (n.backlog.empty()) {
-      ugni::gni_return_t rc = ugni::GNI_SmsgSendWTag(
-          ep, wire.data(), static_cast<std::uint32_t>(wire.size()), nullptr,
-          0, 0, tag);
-      if (rc == ugni::GNI_RC_SUCCESS) {
-        if (trace::spans_enabled()) {
-          // -1: the node's comm thread posts, not a worker PE.
-          mark_msg_spans(bytes, trace::Stage::kTransportPost, -1, ctx.now());
-        }
-        if (owned_msg && n.pool && n.pool->owns(owned_msg)) {
-          n.pool->free(owned_msg);
-        } else if (owned_msg) {
-          ::operator delete[](owned_msg, std::align_val_t{16});
-        }
-        return;
-      }
-      ugni::check(rc, "GNI_SmsgSendWTag", ugni::GNI_RC_NOT_DONE,
-                  ugni::GNI_RC_ERROR_RESOURCE);
-    }
-    NodeState::Pending p;
-    p.dest_node = dest_node;
-    p.dest_pe = dest_pe;
-    p.tag = tag;
-    p.ctrl = std::move(wire);
-    p.msg = owned_msg;
-    n.backlog.push_back(std::move(p));
-    return;
-  }
+  // Data messages must tell the remote comm thread which worker to hand
+  // off to, so the 4-byte worker dest rides as the SMSG header ahead of
+  // the Converse envelope.  INIT carries its dest inside InitCtrl, and an
+  // ACK only needs the node.
+  const bool data = tag == kTagData;
+  const std::int32_t d32 = dest_pe;
+  const std::uint32_t header_len = data ? 4 : 0;
   if (n.backlog.empty()) {
-    ugni::gni_return_t rc =
-        ugni::GNI_SmsgSendWTag(ep, bytes, len, nullptr, 0, 0, tag);
-    if (rc == ugni::GNI_RC_SUCCESS) return;
+    ugni::gni_return_t rc = ugni::GNI_SmsgSendWTag(
+        ep, data ? &d32 : nullptr, header_len, bytes, len, 0, tag);
+    if (rc == ugni::GNI_RC_SUCCESS) {
+      if (data && trace::spans_enabled()) {
+        // -1: the node's comm thread posts, not a worker PE.
+        mark_msg_spans(bytes, trace::Stage::kTransportPost, -1, ctx.now());
+      }
+      if (owned_msg && n.pool && n.pool->owns(owned_msg)) {
+        n.pool->free(owned_msg);
+      } else if (owned_msg) {
+        ::operator delete[](owned_msg, std::align_val_t{16});
+      }
+      return;
+    }
     ugni::check(rc, "GNI_SmsgSendWTag", ugni::GNI_RC_NOT_DONE,
                 ugni::GNI_RC_ERROR_RESOURCE);
   }
+  // Credit-stalled: the backlog keeps its own copy of the wire bytes.
   NodeState::Pending p;
   p.dest_node = dest_node;
   p.dest_pe = dest_pe;
   p.tag = tag;
-  p.ctrl.assign(static_cast<const std::uint8_t*>(bytes),
-                static_cast<const std::uint8_t*>(bytes) + len);
+  p.ctrl.resize(header_len + len);
+  std::memcpy(p.ctrl.data(), &d32, header_len);
+  std::memcpy(p.ctrl.data() + header_len, bytes, len);
+  p.msg = owned_msg;
   n.backlog.push_back(std::move(p));
 }
 
@@ -601,10 +570,6 @@ void SmpLayer::comm_handle_smsg(sim::Context& ctx, NodeState& n,
     case kTagInit: {
       InitCtrl ctrl;
       std::memcpy(&ctrl, data, sizeof(ctrl));
-      if (std::getenv("UGNIRT_SMPDBG"))
-        std::fprintf(stderr, "INIT node=%d id=%llu size=%u dest=%d t=%lld\n",
-                     n.node, (unsigned long long)ctrl.send_id, ctrl.size,
-                     ctrl.dest_pe, (long long)ctx.now());
       NodeState::LargeRecv lr;
       lr.send_id = ctrl.send_id;
       lr.src_node = node_state(src_inst).node;
@@ -678,10 +643,6 @@ void SmpLayer::comm_handle_completion(sim::Context& ctx, NodeState& n,
   auto it = n.recvs.find(desc->post_id);
   assert(it != n.recvs.end());
   NodeState::LargeRecv& lr = it->second;
-  if (std::getenv("UGNIRT_SMPDBG"))
-    std::fprintf(stderr, "GETDONE node=%d id=%llu dest=%d t=%lld\n", n.node,
-                 (unsigned long long)lr.send_id, lr.dest_pe,
-                 (long long)ctx.now());
   AckCtrl ack{lr.send_id};
   if (trace::enabled())
     trace::emit(trace::Ev::kRdvAck, ctx.now(), 0, lr.src_node,

@@ -10,6 +10,12 @@ namespace ugnirt::topo {
 Torus3D::Torus3D(int dim_x, int dim_y, int dim_z)
     : dims_{dim_x, dim_y, dim_z} {
   assert(dim_x >= 1 && dim_y >= 1 && dim_z >= 1);
+  coords_.reserve(static_cast<std::size_t>(nodes()));
+  for (int z = 0; z < dim_z; ++z) {
+    for (int y = 0; y < dim_y; ++y) {
+      for (int x = 0; x < dim_x; ++x) coords_.push_back(Coord{x, y, z});
+    }
+  }
 }
 
 Torus3D Torus3D::for_nodes(int nodes) {
@@ -38,27 +44,11 @@ Torus3D Torus3D::for_nodes(int nodes) {
   return Torus3D(best_x, best_y, best_z);
 }
 
-Coord Torus3D::coord_of(int node) const {
-  assert(node >= 0 && node < nodes());
-  Coord c;
-  c.x = node % dims_[0];
-  c.y = (node / dims_[0]) % dims_[1];
-  c.z = node / (dims_[0] * dims_[1]);
-  return c;
-}
-
 int Torus3D::node_of(const Coord& c) const {
   assert(c.x >= 0 && c.x < dims_[0]);
   assert(c.y >= 0 && c.y < dims_[1]);
   assert(c.z >= 0 && c.z < dims_[2]);
   return c.x + dims_[0] * (c.y + dims_[1] * c.z);
-}
-
-int Torus3D::ring_delta(int a, int b, int n) {
-  int fwd = (b - a + n) % n;   // hops going positive
-  int bwd = n - fwd;           // hops going negative
-  if (fwd == 0) return 0;
-  return (fwd <= bwd) ? fwd : -bwd;
 }
 
 int Torus3D::hops(int from, int to) const {
@@ -75,33 +65,6 @@ int Torus3D::neighbor(int node, int dim, bool positive) const {
   int n = dims_[dim];
   *axis = (*axis + (positive ? 1 : n - 1)) % n;
   return node_of(c);
-}
-
-std::vector<LinkId> Torus3D::route(int from, int to) const {
-  return route_order(from, to, {0, 1, 2});
-}
-
-std::vector<LinkId> Torus3D::route_order(int from, int to,
-                                         const std::array<int, 3>& order)
-    const {
-  std::vector<LinkId> links;
-  if (from == to) return links;
-  Coord a = coord_of(from);
-  Coord b = coord_of(to);
-  int cur = from;
-  const int deltas[3] = {ring_delta(a.x, b.x, dims_[0]),
-                         ring_delta(a.y, b.y, dims_[1]),
-                         ring_delta(a.z, b.z, dims_[2])};
-  for (int dim : order) {
-    int d = deltas[dim];
-    bool positive = d > 0;
-    for (int step = 0; step < std::abs(d); ++step) {
-      links.push_back(LinkId{cur, static_cast<std::uint8_t>(dim), positive});
-      cur = neighbor(cur, dim, positive);
-    }
-  }
-  assert(cur == to);
-  return links;
 }
 
 int Torus3D::diameter() const {

@@ -72,6 +72,66 @@ TEST(SampledModel, ExactForSampledPrefixesAndPlausibleTotals) {
   EXPECT_LT(ratio, 2.0);
 }
 
+TEST(Mirror, SubtreesOfMirroredPrefixesAreIdentical) {
+  for (int n = 8; n <= 12; ++n) {
+    for (int threshold = 2; threshold <= 5; ++threshold) {
+      for (const Prefix& p : enumerate_prefixes(n, threshold)) {
+        const Prefix m = mirror(n, p);
+        const SolveResult a = solve(n, threshold, p.cols, p.diag_l, p.diag_r);
+        const SolveResult b = solve(n, threshold, m.cols, m.diag_l, m.diag_r);
+        ASSERT_EQ(a.nodes, b.nodes) << "n=" << n << " t=" << threshold;
+        ASSERT_EQ(a.solutions, b.solutions) << "n=" << n << " t=" << threshold;
+      }
+    }
+  }
+}
+
+TEST(Mirror, IsAnInvolutionThatReflectsColumns) {
+  const int n = 10;
+  for (const Prefix& p : enumerate_prefixes(n, 3)) {
+    const Prefix m = mirror(n, p);
+    const Prefix back = mirror(n, m);
+    EXPECT_EQ(back.cols, p.cols);
+    EXPECT_EQ(back.diag_l, p.diag_l);
+    EXPECT_EQ(back.diag_r, p.diag_r);
+  }
+  // One queen in column 0 of row 0: the mirror holds column n-1, and the
+  // attacked diagonals below it swap direction.
+  const Prefix p{1u, 2u, 0u};
+  const Prefix m = mirror(n, p);
+  EXPECT_EQ(m.cols, 1u << (n - 1));
+  EXPECT_EQ(m.diag_l, 0u);
+  EXPECT_EQ(m.diag_r, 1u << (n - 2));
+}
+
+TEST(ExactModel, TableMatchesSolveForEveryPrefix) {
+  for (int n = 1; n <= 13; ++n) {
+    for (int threshold : {0, 1, 3, 4}) {
+      if (threshold > n) continue;
+      auto model = ExactModel::build(n, threshold);
+      const std::vector<Prefix> prefixes = enumerate_prefixes(n, threshold);
+      EXPECT_LE(model->table_size(), prefixes.size());
+      std::uint64_t solutions = 0;
+      for (const Prefix& p : prefixes) {
+        const SolveResult want =
+            solve(n, threshold, p.cols, p.diag_l, p.diag_r);
+        const SolveResult got =
+            model->subtree(n, threshold, p.cols, p.diag_l, p.diag_r);
+        ASSERT_EQ(got.nodes, want.nodes) << "n=" << n << " t=" << threshold;
+        ASSERT_EQ(got.solutions, want.solutions)
+            << "n=" << n << " t=" << threshold;
+        solutions += got.solutions;
+      }
+      EXPECT_EQ(solutions, known_solutions(n))
+          << "n=" << n << " t=" << threshold;
+    }
+  }
+  // One entry per distinct state up to mirroring: the 4,080 depth-4
+  // prefixes of a 12-wide board reduce to 2,036 keys.
+  EXPECT_EQ(ExactModel::build(12, 4)->table_size(), 2036u);
+  EXPECT_TRUE(ExactModel::build(12, 4)->exact());
+}
+
 TEST(SampledModel, DeterministicDraws) {
   auto m1 = SampledModel::build(11, 3, 50);
   auto m2 = SampledModel::build(11, 3, 50);
@@ -140,6 +200,32 @@ TEST(NQueensParallel, UgniFasterThanMpiAtScale) {
   NQueensResult mp = run_nqueens(opts(64, LayerKind::kMpi), cfg);
   EXPECT_EQ(ug.solutions, mp.solutions);
   EXPECT_LT(ug.elapsed, mp.elapsed);
+}
+
+/// Solves each leaf subtree on demand: the reference for the built table.
+class PerLeafSolve final : public SubtreeCostModel {
+ public:
+  SolveResult subtree(int n, int row, std::uint32_t cols,
+                      std::uint32_t diag_l,
+                      std::uint32_t diag_r) const override {
+    return solve(n, row, cols, diag_l, diag_r);
+  }
+  bool exact() const override { return true; }
+};
+
+TEST_P(NQueensBothLayers, BuiltTableRunMatchesPerLeafSolving) {
+  NQueensConfig cfg;
+  cfg.n = 12;
+  cfg.threshold = 4;
+  const NQueensResult table = run_nqueens(opts(24, GetParam()), cfg);
+  const PerLeafSolve per_leaf;
+  cfg.model = &per_leaf;
+  const NQueensResult reference = run_nqueens(opts(24, GetParam()), cfg);
+  EXPECT_EQ(table.elapsed, reference.elapsed);
+  EXPECT_EQ(table.nodes, reference.nodes);
+  EXPECT_EQ(table.tasks, reference.tasks);
+  EXPECT_EQ(table.solutions, reference.solutions);
+  EXPECT_EQ(table.solutions, known_solutions(12));
 }
 
 TEST(NQueensParallel, SampledModelRunsAndEstimates) {

@@ -125,6 +125,64 @@ TEST(Torus, RouteOrderStockPermutationMatchesRoute) {
   }
 }
 
+// Reference route computed the long way, independent of Torus3D's tables:
+// coordinates by division, ring displacement by modulo (ties go
+// positive), and one coordinate step per hop.
+std::vector<LinkId> reference_route(const Torus3D& t, int from, int to,
+                                    const std::array<int, 3>& order) {
+  const auto d = t.dims();
+  auto coord = [&d](int node) {
+    return std::array<int, 3>{node % d[0], (node / d[0]) % d[1],
+                              node / (d[0] * d[1])};
+  };
+  const auto a = coord(from);
+  const auto b = coord(to);
+  auto pos = a;
+  std::vector<LinkId> links;
+  for (int dim : order) {
+    const int n = d[static_cast<std::size_t>(dim)];
+    const int fwd = ((b[dim] - a[dim]) % n + n) % n;
+    const int bwd = (n - fwd) % n;
+    const bool positive = fwd <= bwd;
+    for (int step = 0; step < (positive ? fwd : bwd); ++step) {
+      links.push_back(LinkId{pos[0] + d[0] * (pos[1] + d[1] * pos[2]),
+                             static_cast<std::uint8_t>(dim), positive});
+      pos[dim] = (pos[dim] + (positive ? 1 : n - 1)) % n;
+    }
+  }
+  EXPECT_EQ(pos, b);
+  return links;
+}
+
+TEST(Torus, LinkWalkerMatchesReferenceRouteEverywhere) {
+  constexpr std::array<std::array<int, 3>, 6> kOrders = {{{0, 1, 2},
+                                                          {0, 2, 1},
+                                                          {1, 0, 2},
+                                                          {1, 2, 0},
+                                                          {2, 0, 1},
+                                                          {2, 1, 0}}};
+  for (const Torus3D& t : {Torus3D(1, 1, 1), Torus3D(1, 1, 2),
+                           Torus3D(1, 1, 9), Torus3D(2, 2, 2),
+                           Torus3D(5, 3, 7)}) {
+    for (int a = 0; a < t.nodes(); ++a) {
+      for (int b = 0; b < t.nodes(); ++b) {
+        for (const auto& order : kOrders) {
+          const std::vector<LinkId> want = reference_route(t, a, b, order);
+          std::vector<LinkId> walked;
+          t.for_each_link(a, b, order,
+                          [&walked](const LinkId& l) { walked.push_back(l); });
+          ASSERT_EQ(walked, want) << "dims " << t.dims()[0] << "x"
+                                  << t.dims()[1] << "x" << t.dims()[2]
+                                  << " route " << a << "->" << b;
+          EXPECT_EQ(t.route_order(a, b, order), want);
+          EXPECT_EQ(static_cast<int>(want.size()), t.hops(a, b));
+        }
+        EXPECT_EQ(t.route(a, b), reference_route(t, a, b, kOrders[0]));
+      }
+    }
+  }
+}
+
 TEST(Torus, NeighborWrapsBothDirections) {
   Torus3D t(3, 1, 1);
   EXPECT_EQ(t.neighbor(2, 0, true), 0);
