@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -15,6 +13,7 @@
 #include "charm/lb.hpp"
 #include "lrts/runtime.hpp"
 #include "topo/torus.hpp"
+#include "util/log.hpp"
 
 namespace ugnirt::apps::namdmodel {
 
@@ -321,10 +320,9 @@ void Model::controller_step_done(int count) {
   dones += count;
   if (dones < npatch) return;
   dones = 0;
-  if (getenv("UGNIRT_NAMDDBG")) {
-    fprintf(stderr, "STEP %d done at %.3f ms\n", step,
-            to_ms(machine->current_pe().ctx().now()));
-  }
+  UGNIRT_DEBUG("namd step " << step << " done at "
+                            << to_ms(machine->current_pe().ctx().now())
+                            << " ms");
 
   const int total_steps = cfg.warmup_steps + cfg.steps;
   sim::Context& ctx = machine->current_pe().ctx();
@@ -532,18 +530,6 @@ NamdResult run_namd_model(const converse::MachineOptions& options,
   result.computes = model.ncomp;
   result.pme_objects = model.npme;
   result.messages = machine->stats().msgs_sent;
-  if (getenv("UGNIRT_NAMDDBG")) {
-    const auto& ns = machine->network().stats();
-    fprintf(stderr,
-            "net: transfers=%llu smsgB=%.1fMB fmaB=%.1fMB bteB=%.1fMB conflicts=%llu\n",
-            (unsigned long long)ns.transfers, ns.bytes_smsg / 1e6,
-            ns.bytes_fma / 1e6, ns.bytes_bte / 1e6,
-            (unsigned long long)ns.link_conflicts);
-    fprintf(stderr, "steps=%llu execs=%llu sent=%llu\n",
-            (unsigned long long)machine->stats().steps,
-            (unsigned long long)machine->stats().msgs_executed,
-            (unsigned long long)machine->stats().msgs_sent);
-  }
   if (tracer) tracer->finalize(model.measure_end);
   SimTime elapsed = model.measure_end - model.measure_start;
   result.ms_per_step =

@@ -113,33 +113,6 @@ struct MachineOptions {
   /// environment overrides are applied by lrts::make_machine, not here.
   sim::QueueKind sim_queue = sim::QueueKind::kHeap;
 
-  /// Pending-event-set shards ("sim.shards" / UGNIRT_SIM_SHARDS).  The
-  /// machine maps contiguous torus node slabs onto shards (clamped to the
-  /// node count) and pins every PE's scheduling to its slab's shard.  The
-  /// runtime drives the engine in replay mode, so results are bit-identical
-  /// for ANY value; >1 trades the one big event queue for several small
-  /// hot ones (the full-machine-sweep wall-clock win).
-  int sim_shards = 1;
-
-  /// Conservative lookahead ("sim.lookahead_ns" / UGNIRT_SIM_LOOKAHEAD_NS)
-  /// handed to the engine.  0 (default) derives it from the Gemini model:
-  /// mc.min_remote_latency_ns(), the one-hop router traversal that lower-
-  /// bounds any cross-node effect.
-  SimTime sim_lookahead_ns = 0;
-
-  /// Recycle engine event records through the per-shard slab arenas
-  /// ("sim.arena" / UGNIRT_SIM_ARENA).  false is the A/B measurement
-  /// baseline (one fresh record per event); scheduling semantics are
-  /// bit-identical either way.
-  bool sim_arena = true;
-
-  /// Dispatch messages through the flat per-kind handler table
-  /// ("sim.flat_dispatch" / UGNIRT_SIM_FLAT_DISPATCH).  false falls back
-  /// to the classic branch chain; both paths charge and trace the exact
-  /// same sequence — the toggle exists for the bit-identity guard test
-  /// and A/B measurement.
-  bool flat_dispatch = true;
-
   /// PEs per node; 0 means "use mc.cores_per_node".  Micro-benchmarks that
   /// place each rank on its own node set this to 1.
   int pes_per_node = 0;
@@ -169,18 +142,6 @@ struct MachineOptions {
   int nodes() const {
     int ppn = effective_pes_per_node();
     return (pes + ppn - 1) / ppn;
-  }
-  /// Shards the engine will actually run (>= 1, <= nodes: a shard owns at
-  /// least one whole node so intra-node traffic never crosses shards).
-  int effective_shards() const {
-    int s = sim_shards < 1 ? 1 : sim_shards;
-    return s > nodes() ? nodes() : s;
-  }
-  /// Lookahead handed to the engine: the explicit knob, or the Gemini
-  /// link-latency floor.
-  SimTime effective_lookahead_ns() const {
-    return sim_lookahead_ns > 0 ? sim_lookahead_ns
-                                : mc.min_remote_latency_ns();
   }
 };
 
@@ -318,13 +279,6 @@ class Machine {
   // ---- topology / identity ----
   int num_pes() const { return options_.pes; }
   int node_of_pe(int pe) const { return pe / options_.effective_pes_per_node(); }
-  /// Engine shard owning `node`: contiguous torus slabs, so neighbor
-  /// traffic mostly stays shard-local.
-  int shard_of_node(int node) const {
-    return static_cast<int>(static_cast<long long>(node) *
-                            engine_.shards() / options_.nodes());
-  }
-  int shard_of_pe(int pe) const { return shard_of_node(node_of_pe(pe)); }
   Pe& pe(int i) { return *pes_[static_cast<std::size_t>(i)]; }
   const MachineOptions& options() const { return options_; }
   gemini::Network& network() { return *network_; }
@@ -336,19 +290,11 @@ class Machine {
     return flow_.get();
   }
   /// The whole engine — for DRIVERS only (benches, tests, the run() loop
-  /// below).  Protocol code takes one of the Scheduler accessors instead;
-  /// the deprecated-API lint enforces the split for schedule calls.
+  /// below).  Protocol code takes scheduler() instead; the
+  /// deprecated-API lint enforces the split for schedule calls.
   sim::Engine& engine() { return engine_; }
-  /// The engine's global scheduling surface (events land on the shard
-  /// currently executing).
+  /// The engine's scheduling surface.
   sim::Scheduler& scheduler() { return engine_.scheduler(); }
-  /// The per-shard scheduler a node's (or PE's) events belong to.
-  sim::Scheduler& scheduler_for_node(int node) {
-    return engine_.scheduler(shard_of_node(node));
-  }
-  sim::Scheduler& scheduler_for_pe(int pe) {
-    return engine_.scheduler(shard_of_pe(pe));
-  }
   MachineLayer& layer() { return *layer_; }
   trace::Tracer* tracer() { return tracer_; }
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
@@ -429,15 +375,9 @@ class Machine {
   friend class Pe;
 
   void dispatch(Pe& pe, void* msg);
-  /// The pre-flat-table dispatcher: a branch chain re-reading the flags
-  /// word at every decision.  Kept as the independent reference the
-  /// bit-identity guard test compares the flat table against
-  /// (MachineOptions::flat_dispatch = false).
-  void dispatch_classic(Pe& pe, void* msg);
   /// One flat-table entry: the System/Bcast/AggBatch decisions are baked
   /// into the instantiation, so dispatch costs one indexed indirect call
-  /// instead of the chain.  Charges and trace marks are identical to
-  /// dispatch_classic by construction.
+  /// instead of a branch chain re-reading the flags word.
   template <bool kSystem, bool kBcast, bool kBatch>
   void dispatch_kind(Pe& pe, void* msg);
   void dispatch_batch(Pe& pe, void* msg);

@@ -25,12 +25,4 @@ namespace ugnirt::lrts {
 std::unique_ptr<converse::Machine> make_machine(
     converse::LayerKind kind, const converse::MachineOptions& options = {});
 
-/// Deprecated shim: the layer hides inside the options bag.  Call
-/// make_machine(kind, options) instead.
-[[deprecated("use make_machine(LayerKind, const MachineOptions&)")]]
-inline std::unique_ptr<converse::Machine> make_machine(
-    const converse::MachineOptions& options) {
-  return make_machine(options.layer, options);
-}
-
 }  // namespace ugnirt::lrts

@@ -2,7 +2,7 @@
 //
 // Every scheduled event owns an EventRecord — the callback plus the
 // cancellation state that used to live in a per-event
-// std::make_shared<bool> tombstone.  Records live in per-shard slabs and
+// std::make_shared<bool> tombstone.  Records live in slabs and
 // recycle through an intrusive freelist, so steady-state schedule/pop
 // cycles never touch the heap: acquire() is a freelist pop (or a bump
 // into the newest slab), release() destroys the callback, bumps the
@@ -16,18 +16,8 @@
 // moral equivalent of the old weak_ptr tombstone without the control
 // block, the allocation, or the atomics.
 //
-// recycle=false (UGNIRT_SIM_ARENA=0) is the measurement/debug baseline:
-// every acquire carves a fresh record (slabs still grow, nothing is
-// reused until teardown), which restores one-allocation-per-event
-// behavior for A/B benches while keeping stale handles safe.  The
-// micro_dispatch bench and the scale_test bit-identity guard drive both
-// modes.
-//
-// Thread contract: an arena belongs to one shard and is touched only by
-// whichever thread currently owns that shard (the driving thread under
-// kReplay, the shard's worker inside a kWindow round).  Cross-shard
-// window-mode schedules do NOT use the target's arena — they go through
-// the shard's mutex-guarded mailbox record pool (see engine.cpp).
+// An arena belongs to one engine and is touched only by the thread
+// driving it.
 #pragma once
 
 #include <cstddef>
@@ -40,23 +30,22 @@
 namespace ugnirt::sim {
 
 /// One scheduled event's identity: callback, liveness, reuse generation.
-/// Exactly 128 bytes (two cache lines) with the 72-byte SmallFn buffer.
+/// 144 bytes with the 72-byte SmallFn buffer.
 struct EventRecord {
   SmallFn fn;                       ///< the event callback
   std::uint64_t gen = 0;            ///< bumped on release; stale-handle guard
   EventRecord* next_free = nullptr; ///< intrusive freelist link
   bool alive = false;               ///< flipped false by cancel() or firing
-  bool mailbox_owned = false;       ///< release through the mailbox pool
 };
 
 class EventArena {
  public:
-  /// Records per slab: 512 x 128 B = 64 KiB — big enough that steady
+  /// Records per slab: 512 x 144 B = 72 KiB — big enough that steady
   /// workloads sit in one or two slabs, small enough that a tiny engine
   /// (unit tests build thousands) stays cheap.
   static constexpr std::size_t kSlabRecords = 512;
 
-  explicit EventArena(bool recycle = true) : recycle_(recycle) {}
+  EventArena() = default;
   EventArena(const EventArena&) = delete;
   EventArena& operator=(const EventArena&) = delete;
 
@@ -81,27 +70,22 @@ class EventArena {
   }
 
   /// Retire a popped record: destroy the callback, invalidate outstanding
-  /// handles (gen bump), recycle (or strand it until teardown in the
-  /// no-recycle baseline).
+  /// handles (gen bump), push it back on the freelist.
   void release(EventRecord* rec) {
     rec->fn.reset();
     rec->alive = false;
     ++rec->gen;
     --in_use_;
-    if (recycle_) {
-      rec->next_free = free_head_;
-      free_head_ = rec;
-    }
+    rec->next_free = free_head_;
+    free_head_ = rec;
   }
 
   // Introspection for tests and the micro bench.
   std::size_t slabs() const { return slabs_.size(); }
   std::size_t in_use() const { return in_use_; }
   std::uint64_t acquires() const { return acquires_; }
-  bool recycling() const { return recycle_; }
 
  private:
-  bool recycle_;
   std::vector<std::unique_ptr<EventRecord[]>> slabs_;
   std::size_t next_in_slab_ = 0;
   EventRecord* free_head_ = nullptr;

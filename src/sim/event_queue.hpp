@@ -95,12 +95,9 @@ class EventQueue {
   /// !empty().
   virtual Event pop_earliest() = 0;
 
-  /// The (time, seq)-minimal pending event, or nullptr when empty.  The
-  /// sharded engine's replay drive merges shard queues by (time, seq),
-  /// so it must see the head's seq — time alone cannot break cross-shard
-  /// ties.  May advance internal cursors (calendar day/year) but never
-  /// alters the pop sequence; the pointer is invalidated by the next
-  /// push/pop.
+  /// The (time, seq)-minimal pending event, or nullptr when empty.  May
+  /// advance internal cursors (calendar day/year) but never alters the
+  /// pop sequence; the pointer is invalidated by the next push/pop.
   virtual const Event* peek_earliest() = 0;
 
   /// Time of the earliest pending event, or kNever when empty.

@@ -24,7 +24,6 @@
 // "no allocation for all in-tree callers" guarantee in executable form.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -81,7 +80,7 @@ class SmallFn {
   /// Process-wide count of constructions that overflowed the inline
   /// buffer.  All in-tree event callbacks fit; tests assert it stays 0.
   static std::uint64_t heap_fallbacks() noexcept {
-    return heap_fallbacks_.load(std::memory_order_relaxed);
+    return heap_fallbacks_;
   }
 
  private:
@@ -105,7 +104,7 @@ class SmallFn {
       // Oversized (or throwing-move) capture: own it on the heap, store
       // only the pointer inline.  Correct for any callable; counted so
       // the zero-alloc guarantee stays testable.
-      heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+      ++heap_fallbacks_;
       Fn* heap = new Fn(std::forward<F>(f));
       std::memcpy(buf_, &heap, sizeof(heap));
       call_ = [](void* p) {
@@ -134,7 +133,7 @@ class SmallFn {
     other.destroy_ = nullptr;
   }
 
-  inline static std::atomic<std::uint64_t> heap_fallbacks_{0};
+  inline static std::uint64_t heap_fallbacks_ = 0;
 
   void (*call_)(void*) = nullptr;
   void (*relocate_)(void*, void*) noexcept = nullptr;

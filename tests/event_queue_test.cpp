@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -222,6 +223,111 @@ TEST_P(EngineBackend, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(e.now(), 99 * 7);
 }
 
+TEST_P(EngineBackend, PastTimesClampToNow) {
+  Engine e{EngineOptions{.queue = GetParam()}};
+  SimTime seen = -1;
+  e.schedule_at(100, [&] {
+    e.schedule_at(50, [&] { seen = e.now(); });  // in the past
+  });
+  e.run();
+  EXPECT_EQ(seen, 100);
+}
+
+TEST_P(EngineBackend, CancelAfterFireIsSafe) {
+  Engine e{EngineOptions{.queue = GetParam()}};
+  bool ran = false;
+  auto h = e.schedule_at(10, [&] { ran = true; });
+  e.run();
+  EXPECT_TRUE(ran);
+  h.cancel();  // no-op
+  EXPECT_FALSE(h.valid());
+}
+
+TEST_P(EngineBackend, StopInterruptsRun) {
+  Engine e{EngineOptions{.queue = GetParam()}};
+  int count = 0;
+  for (int i = 0; i < 10; ++i) {
+    e.schedule_at(i * 10, [&] {
+      if (++count == 3) e.stop();
+    });
+  }
+  e.run();
+  EXPECT_EQ(count, 3);
+  EXPECT_EQ(e.pending(), 7u);
+  // run() again resumes.
+  e.run();
+  EXPECT_EQ(count, 10);
+}
+
+// A stop inside a bounded run leaves the clock at the stopping event, not
+// at the horizon; the next run_until() resumes and then advances it.
+TEST_P(EngineBackend, StopInterruptsAndResumes) {
+  Engine e{EngineOptions{.queue = GetParam()}};
+  int count = 0;
+  for (int i = 0; i < 10; ++i) {
+    e.schedule_at(i * 10, [&] {
+      if (++count == 3) e.stop();
+    });
+  }
+  EXPECT_EQ(e.run_until(55), 3u);
+  EXPECT_EQ(count, 3);
+  EXPECT_EQ(e.now(), 20);
+  EXPECT_EQ(e.pending(), 7u);
+  EXPECT_EQ(e.run_until(55), 3u);
+  EXPECT_EQ(count, 6);
+  EXPECT_EQ(e.now(), 55);
+  EXPECT_EQ(e.pending(), 4u);
+  e.run();
+  EXPECT_EQ(count, 10);
+}
+
+TEST_P(EngineBackend, DeterministicAcrossRuns) {
+  auto run_once = [] {
+    Engine e{EngineOptions{.queue = GetParam()}};
+    std::vector<std::pair<SimTime, int>> log;
+    for (int i = 0; i < 50; ++i) {
+      e.schedule_at((i * 7) % 13, [&log, i, &e] {
+        log.emplace_back(e.now(), i);
+        if (i % 3 == 0) {
+          e.schedule_after(2, [&log, i, &e] { log.emplace_back(e.now(), 100 + i); });
+        }
+      });
+    }
+    e.run();
+    return log;
+  };
+  EXPECT_EQ(run_once(), run_once());
+}
+
+// pending() counts live events only: cancelled tombstones still sit in
+// the queue but are not pending work.
+TEST_P(EngineBackend, PendingExcludesCancelledTombstones) {
+  Engine e{EngineOptions{.queue = GetParam()}};
+  auto h1 = e.schedule_at(10, [] {});
+  e.schedule_at(20, [] {});
+  e.schedule_at(30, [] {});
+  EXPECT_EQ(e.pending(), 3u);
+  h1.cancel();
+  EXPECT_EQ(e.pending(), 2u);
+  h1.cancel();  // double-cancel must not double-decrement
+  EXPECT_EQ(e.pending(), 2u);
+  EXPECT_FALSE(e.empty());
+  EXPECT_EQ(e.run(), 2u);
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_TRUE(e.empty());
+}
+
+TEST_P(EngineBackend, SelfCancelDuringExecutionKeepsPendingConsistent) {
+  Engine e{EngineOptions{.queue = GetParam()}};
+  EventHandle h;
+  h = e.schedule_at(10, [&e, &h] {
+    h.cancel();  // cancelling the event that is firing: no-op
+    EXPECT_EQ(e.pending(), 0u);
+  });
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, EngineBackend,
                          ::testing::Values(QueueKind::kHeap,
                                            QueueKind::kCalendar),
@@ -229,12 +335,20 @@ INSTANTIATE_TEST_SUITE_P(Backends, EngineBackend,
                            return std::string(to_string(info.param));
                          });
 
+// The environment is read only where a driver asks for it.
+TEST(EngineOptions, DefaultsAreHermeticSequential) {
+  ::setenv("UGNIRT_SIM_QUEUE", "calendar", 1);
+  Engine hermetic{EngineOptions{}};  // must NOT sniff the environment
+  Engine from_env{EngineOptions::from_env()};
+  ::unsetenv("UGNIRT_SIM_QUEUE");
+  EXPECT_EQ(hermetic.queue_kind(), QueueKind::kHeap);
+  EXPECT_EQ(from_env.queue_kind(), QueueKind::kCalendar);
+}
+
 // ------------------------------------------- event arena (zero-alloc path) --
 
 TEST(EventArena, SteadyChurnRecyclesOneSlab) {
   Engine e{EngineOptions{}};
-  ASSERT_TRUE(e.arena_enabled());
-  ASSERT_TRUE(e.arena(0).recycling());
   int count = 0;
   const int kEvents = static_cast<int>(EventArena::kSlabRecords) * 5;
   std::function<void()> chain = [&] {
@@ -245,9 +359,9 @@ TEST(EventArena, SteadyChurnRecyclesOneSlab) {
   EXPECT_EQ(count, kEvents);
   // Sequential churn far past one slab's capacity: every record recycled
   // through the freelist, the heap untouched after the first slab.
-  EXPECT_EQ(e.arena(0).slabs(), 1u);
-  EXPECT_EQ(e.arena(0).in_use(), 0u);
-  EXPECT_EQ(e.arena(0).acquires(), static_cast<std::uint64_t>(kEvents));
+  EXPECT_EQ(e.arena().slabs(), 1u);
+  EXPECT_EQ(e.arena().in_use(), 0u);
+  EXPECT_EQ(e.arena().acquires(), static_cast<std::uint64_t>(kEvents));
 }
 
 TEST(EventArena, GrowsPastOneSlabUnderPendingLoad) {
@@ -257,39 +371,19 @@ TEST(EventArena, GrowsPastOneSlabUnderPendingLoad) {
   for (int i = 0; i < kPending; ++i) {
     e.schedule_at(i, [&ran] { ++ran; });
   }
-  EXPECT_GE(e.arena(0).slabs(), 2u);
-  EXPECT_EQ(e.arena(0).in_use(), static_cast<std::size_t>(kPending));
+  EXPECT_GE(e.arena().slabs(), 2u);
+  EXPECT_EQ(e.arena().in_use(), static_cast<std::size_t>(kPending));
   e.run();
   EXPECT_EQ(ran, kPending);
-  EXPECT_EQ(e.arena(0).in_use(), 0u);
+  EXPECT_EQ(e.arena().in_use(), 0u);
   // Slabs are never returned: the high-water footprint is stable and a
   // second burst of the same size reuses it without growing further.
-  const std::size_t high_water = e.arena(0).slabs();
+  const std::size_t high_water = e.arena().slabs();
   for (int i = 0; i < kPending; ++i) {
     e.schedule_after(1, [&ran] { ++ran; });
   }
   e.run();
-  EXPECT_EQ(e.arena(0).slabs(), high_water);
-}
-
-TEST(EventArena, FreshCarveModeNeverReuses) {
-  EngineOptions eo;
-  eo.arena = false;
-  Engine e{eo};
-  EXPECT_FALSE(e.arena_enabled());
-  EXPECT_FALSE(e.arena(0).recycling());
-  int count = 0;
-  const int kEvents = static_cast<int>(EventArena::kSlabRecords) + 50;
-  std::function<void()> chain = [&] {
-    if (++count < kEvents) e.schedule_after(2, chain);
-  };
-  e.schedule_at(0, chain);
-  e.run();
-  EXPECT_EQ(count, kEvents);
-  // The A/B baseline carves a fresh record per event even though the
-  // pending set never exceeds one: slab growth tracks total events.
-  EXPECT_GE(e.arena(0).slabs(), 2u);
-  EXPECT_EQ(e.arena(0).in_use(), 0u);
+  EXPECT_EQ(e.arena().slabs(), high_water);
 }
 
 TEST(EventArena, CancelFromInsideHandlerTombstones) {
@@ -301,7 +395,7 @@ TEST(EventArena, CancelFromInsideHandlerTombstones) {
   e.run();
   EXPECT_FALSE(late);
   // The tombstoned record is still released when it surfaces.
-  EXPECT_EQ(e.arena(0).in_use(), 0u);
+  EXPECT_EQ(e.arena().in_use(), 0u);
   EXPECT_FALSE(victim.valid());
 }
 
@@ -316,7 +410,7 @@ TEST(EventArena, SelfCancelDuringDispatchIsNoOp) {
   e.run();
   EXPECT_EQ(runs, 1);
   EXPECT_FALSE(self.valid());
-  EXPECT_EQ(e.arena(0).in_use(), 0u);
+  EXPECT_EQ(e.arena().in_use(), 0u);
 }
 
 TEST(EventArena, StaleHandleCannotCancelRecycledRecord) {
@@ -346,7 +440,7 @@ TEST(EventArena, EngineCallbacksStayInline) {
     void operator()() {
       *sink += lcg;
       lcg = lcg * 1664525u + 1013904223u;
-      if (--left > 0) eng->scheduler(0).schedule_after(1 + (lcg >> 27), *this);
+      if (--left > 0) eng->schedule_after(1 + (lcg >> 27), *this);
     }
   };
   for (int i = 0; i < 64; ++i) {

@@ -44,23 +44,17 @@ using converse::MachineOptions;
 
 /// Seeded faulty k-neighbor on the uGNI layer; returns the full event
 /// trace CSV.  The workload exercises SMSG, rendezvous, credit stalls and
-/// retries — and with `all_subsystems`, aggregation and flow control on
-/// top — so any divergence in event order between queue backends or
-/// engine shard counts shows up as a trace mismatch.
-std::string traced_run(sim::QueueKind queue, int shards = 1,
-                       bool all_subsystems = false, bool arena = true,
-                       bool flat_dispatch = true) {
+/// retries — and with `all_subsystems`, aggregation, flow control and
+/// adaptive routing on top, each scheduling its own timers — so any
+/// divergence in event order between queue backends shows up as a trace
+/// mismatch.
+std::string traced_run(sim::QueueKind queue, bool all_subsystems) {
   trace::EventTracer tracer(1u << 18);
   trace::set_tracer(&tracer);
   MachineOptions o;
-  // One PE per node so shard counts up to 8 stay unclamped (shards are
-  // node slabs; 12 nodes cover the {1, 2, 8} matrix).
   o.pes = 12;
   o.pes_per_node = 1;
   o.sim_queue = queue;
-  o.sim_shards = shards;
-  o.sim_arena = arena;
-  o.flat_dispatch = flat_dispatch;
   o.fault.enabled = true;
   o.fault.seed = 0x5CA1E;
   o.fault.p_smsg_error = 0.2;
@@ -72,7 +66,6 @@ std::string traced_run(sim::QueueKind queue, int shards = 1,
   }
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   EXPECT_EQ(m->engine().queue_kind(), queue);
-  EXPECT_EQ(m->engine().shards(), shards);
   const int pes = o.pes;
   std::vector<int> received(static_cast<std::size_t>(pes), 0);
   int h = m->register_handler([&](void* msg) {
@@ -104,70 +97,11 @@ std::string traced_run(sim::QueueKind queue, int shards = 1,
 }
 
 TEST(QueueBackends, SeededTraceIsBitIdenticalAcrossBackends) {
-  std::string heap = traced_run(sim::QueueKind::kHeap);
-  std::string cal = traced_run(sim::QueueKind::kCalendar);
-  EXPECT_FALSE(heap.empty());
-  EXPECT_EQ(heap, cal);
-}
-
-// ------------------------------------------------- sharded determinism ----
-
-/// The replay drive's whole-machine determinism claim: partitioning the
-/// pending set must not change anything observable.  The seeded faulty
-/// run traces bit-identically across shard counts and both queue
-/// backends.
-TEST(ShardedReplay, SeededTraceIsBitIdenticalAcrossShardCounts) {
-  const std::string reference = traced_run(sim::QueueKind::kHeap, 1);
-  EXPECT_FALSE(reference.empty());
-  for (sim::QueueKind queue :
-       {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-    for (int shards : {1, 2, 8}) {
-      EXPECT_EQ(reference, traced_run(queue, shards))
-          << "queue=" << sim::to_string(queue) << " shards=" << shards;
-    }
-  }
-}
-
-/// The hot-path overhaul's ground rule: the slab-recycling event arena
-/// and the flat kind-table dispatch are host-side optimizations ONLY.
-/// The seeded all-subsystems trace must be byte-identical with either
-/// (or both) turned off — any divergence means a virtual charge or an
-/// event ordering leaked out of the host layer.
-TEST(HotPath, ArenaAndFlatDispatchTraceIsBitIdentical) {
-  const std::string reference = traced_run(
-      sim::QueueKind::kHeap, 1, /*all_subsystems=*/true);
-  EXPECT_FALSE(reference.empty());
-  struct Mode {
-    bool arena;
-    bool flat;
-  };
-  for (Mode mode : {Mode{false, true}, Mode{true, false}, Mode{false, false}}) {
-    for (sim::QueueKind queue :
-         {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-      EXPECT_EQ(reference, traced_run(queue, 1, true, mode.arena, mode.flat))
-          << "queue=" << sim::to_string(queue) << " arena=" << mode.arena
-          << " flat_dispatch=" << mode.flat;
-    }
-  }
-  // And across shard counts with both off — the sharded drive must not
-  // depend on the arena's recycling for its ordering either.
-  EXPECT_EQ(reference,
-            traced_run(sim::QueueKind::kCalendar, 8, true, false, false));
-}
-
-/// Same matrix with every optional subsystem armed — faults, aggregation
-/// and congestion control all schedule their own timers and reroute
-/// traffic, so this is the adversarial case for cross-shard ordering.
-TEST(ShardedReplay, AllSubsystemsTraceIsBitIdenticalAcrossShardCounts) {
-  const std::string reference =
-      traced_run(sim::QueueKind::kHeap, 1, /*all_subsystems=*/true);
-  EXPECT_FALSE(reference.empty());
-  for (sim::QueueKind queue :
-       {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-    for (int shards : {2, 8}) {
-      EXPECT_EQ(reference, traced_run(queue, shards, true))
-          << "queue=" << sim::to_string(queue) << " shards=" << shards;
-    }
+  for (bool all_subsystems : {false, true}) {
+    const std::string heap = traced_run(sim::QueueKind::kHeap, all_subsystems);
+    EXPECT_FALSE(heap.empty());
+    EXPECT_EQ(heap, traced_run(sim::QueueKind::kCalendar, all_subsystems))
+        << "all_subsystems=" << all_subsystems;
   }
 }
 

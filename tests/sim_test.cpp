@@ -1,122 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
 
 namespace ugnirt::sim {
 namespace {
-
-TEST(Engine, RunsEventsInTimeOrder) {
-  Engine e{EngineOptions{}};
-  std::vector<int> order;
-  e.schedule_at(30, [&] { order.push_back(3); });
-  e.schedule_at(10, [&] { order.push_back(1); });
-  e.schedule_at(20, [&] { order.push_back(2); });
-  EXPECT_EQ(e.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(e.now(), 30);
-}
-
-TEST(Engine, TiesBreakInSchedulingOrder) {
-  Engine e{EngineOptions{}};
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    e.schedule_at(5, [&order, i] { order.push_back(i); });
-  }
-  e.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(Engine, PastTimesClampToNow) {
-  Engine e{EngineOptions{}};
-  SimTime seen = -1;
-  e.schedule_at(100, [&] {
-    e.schedule_at(50, [&] { seen = e.now(); });  // in the past
-  });
-  e.run();
-  EXPECT_EQ(seen, 100);
-}
-
-TEST(Engine, EventsCanScheduleMoreEvents) {
-  Engine e{EngineOptions{}};
-  int count = 0;
-  std::function<void()> chain = [&] {
-    if (++count < 5) e.schedule_after(10, chain);
-  };
-  e.schedule_at(0, chain);
-  e.run();
-  EXPECT_EQ(count, 5);
-  EXPECT_EQ(e.now(), 40);
-}
-
-TEST(Engine, CancelPreventsExecution) {
-  Engine e{EngineOptions{}};
-  bool ran = false;
-  auto h = e.schedule_at(10, [&] { ran = true; });
-  h.cancel();
-  e.run();
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(e.executed(), 0u);
-}
-
-TEST(Engine, CancelAfterFireIsSafe) {
-  Engine e{EngineOptions{}};
-  bool ran = false;
-  auto h = e.schedule_at(10, [&] { ran = true; });
-  e.run();
-  EXPECT_TRUE(ran);
-  h.cancel();  // no-op
-  EXPECT_FALSE(h.valid());
-}
-
-TEST(Engine, StopInterruptsRun) {
-  Engine e{EngineOptions{}};
-  int count = 0;
-  for (int i = 0; i < 10; ++i) {
-    e.schedule_at(i * 10, [&] {
-      if (++count == 3) e.stop();
-    });
-  }
-  e.run();
-  EXPECT_EQ(count, 3);
-  EXPECT_EQ(e.pending(), 7u);
-  // run() again resumes.
-  e.run();
-  EXPECT_EQ(count, 10);
-}
-
-TEST(Engine, RunUntilStopsAtBoundaryAndAdvancesClock) {
-  Engine e{EngineOptions{}};
-  std::vector<SimTime> fired;
-  for (SimTime t : {10, 20, 30, 40}) {
-    e.schedule_at(t, [&fired, &e] { fired.push_back(e.now()); });
-  }
-  e.run_until(25);
-  EXPECT_EQ(fired, (std::vector<SimTime>{10, 20}));
-  EXPECT_EQ(e.now(), 25);  // clock advanced to the horizon
-  e.run_until(100);
-  EXPECT_EQ(fired.size(), 4u);
-}
-
-TEST(Engine, DeterministicAcrossRuns) {
-  auto run_once = [] {
-    Engine e{EngineOptions{}};
-    std::vector<std::pair<SimTime, int>> log;
-    for (int i = 0; i < 50; ++i) {
-      e.schedule_at((i * 7) % 13, [&log, i, &e] {
-        log.emplace_back(e.now(), i);
-        if (i % 3 == 0) {
-          e.schedule_after(2, [&log, i, &e] { log.emplace_back(e.now(), 100 + i); });
-        }
-      });
-    }
-    e.run();
-    return log;
-  };
-  EXPECT_EQ(run_once(), run_once());
-}
 
 TEST(Context, ChargeAdvancesCursorAndTotals) {
   Engine e{EngineOptions{}};

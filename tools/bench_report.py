@@ -20,7 +20,7 @@ Usage:
   bench_report.py compare --baseline bench/baselines --current . \
       [--tolerance 0.15] [BENCH_core.json BENCH_scale.json]
   bench_report.py check BENCH_scale.json \
-      --min pes65536.hold.heap.shards8.speedup_vs_shards1_x=1.5
+      --min pes153216.ring.heap.sim_events_per_wall_sec=230000
 """
 
 import argparse
@@ -43,10 +43,6 @@ def flatten(doc):
         if "pattern" in point:
             prefix = "pes%d.%s.%s." % (
                 point["pes"], point["pattern"], point.get("queue", "heap"))
-            # Sharded points carry an extra coordinate; shards=1 rows omit
-            # the field so pre-shard baseline keys stay stable.
-            if "shards" in point:
-                prefix += "shards%d." % point["shards"]
         for name, m in point["metrics"].items():
             yield (prefix + name, m["value"], m.get("better", "info"),
                    m.get("unit", ""))
@@ -177,7 +173,7 @@ def main(argv):
     p_cmp.set_defaults(func=cmd_compare)
 
     p_chk = sub.add_parser(
-        "check", help="gate absolute floors, e.g. shard speedups")
+        "check", help="gate absolute floors, e.g. events/sec")
     p_chk.add_argument("file")
     p_chk.add_argument(
         "--min", action="append", metavar="KEY=VALUE",

@@ -73,8 +73,9 @@ if [ -n "$eager" ]; then
 fi
 
 # 5. The old Engine constructors are gone: Engine() sniffed UGNIRT_SIM_QUEUE
-#    from the environment and Engine(QueueKind) predated sharding.  All
-#    construction goes through explicit sim::EngineOptions now — tests use
+#    from the environment and Engine(QueueKind) took the queue backend as
+#    a bare argument.  All construction goes through explicit
+#    sim::EngineOptions now — tests use
 #    EngineOptions{} (hermetic defaults), drivers opt into the environment
 #    with EngineOptions::from_env().  queue_kind_from_env() is the from_env
 #    helper's implementation detail and must not be called outside src/sim.
