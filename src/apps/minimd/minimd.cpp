@@ -39,6 +39,20 @@ struct MigHead {
   // Atom[count] follows
 };
 
+/// Append `count` T's copied out of `bytes`: the arrays after a PosHead or
+/// MigHead sit in a message payload with no alignment guarantee, so they
+/// are never read in place.
+template <typename T>
+void append_unaligned(std::vector<T>& out, const std::uint8_t* bytes,
+                      std::int32_t count) {
+  for (std::int32_t i = 0; i < count; ++i) {
+    T v;
+    std::memcpy(&v, bytes + static_cast<std::size_t>(i) * sizeof(T),
+                sizeof(T));
+    out.push_back(v);
+  }
+}
+
 struct Shared;  // forward
 
 /// One spatial patch: owns atoms, exchanges ghosts, integrates.
@@ -57,8 +71,8 @@ class Patch final : public charm::ArrayElement {
   Vec3 lo_;  // box corner of this patch
 
  private:
-  void on_positions(const PosHead& head, const Vec3* pos);
-  void on_migrants(const MigHead& head, const Atom* atoms);
+  void on_positions(const PosHead& head, const std::uint8_t* pos);
+  void on_migrants(const MigHead& head, const std::uint8_t* atoms);
   void try_compute();
   void try_finish();
   void compute_and_integrate();
@@ -181,32 +195,30 @@ void Patch::receive(int method, const void* payload, std::uint32_t bytes) {
     PosHead head;
     std::memcpy(&head, payload, sizeof(head));
     assert(bytes == sizeof(PosHead) + sizeof(Vec3) * static_cast<std::uint32_t>(head.count));
-    on_positions(head, reinterpret_cast<const Vec3*>(
-                           static_cast<const std::uint8_t*>(payload) +
-                           sizeof(PosHead)));
+    on_positions(head,
+                 static_cast<const std::uint8_t*>(payload) + sizeof(PosHead));
   } else if (method == kMethodMigrants) {
     MigHead head;
     std::memcpy(&head, payload, sizeof(head));
     assert(bytes == sizeof(MigHead) + sizeof(Atom) * static_cast<std::uint32_t>(head.count));
-    on_migrants(head, reinterpret_cast<const Atom*>(
-                          static_cast<const std::uint8_t*>(payload) +
-                          sizeof(MigHead)));
+    on_migrants(head,
+                static_cast<const std::uint8_t*>(payload) + sizeof(MigHead));
   } else {
     assert(false && "unknown patch method");
   }
 }
 
-void Patch::on_positions(const PosHead& head, const Vec3* pos) {
+void Patch::on_positions(const PosHead& head, const std::uint8_t* pos) {
   auto& slot = ghosts_[head.step];
   slot.first += 1;
-  slot.second.insert(slot.second.end(), pos, pos + head.count);
+  append_unaligned(slot.second, pos, head.count);
   try_compute();
 }
 
-void Patch::on_migrants(const MigHead& head, const Atom* in) {
+void Patch::on_migrants(const MigHead& head, const std::uint8_t* in) {
   auto& slot = migrants_[head.step];
   slot.first += 1;
-  slot.second.insert(slot.second.end(), in, in + head.count);
+  append_unaligned(slot.second, in, head.count);
   try_finish();
 }
 

@@ -128,7 +128,8 @@ struct MachineOptions {
   aggregation::AggregationConfig aggregation{};
   /// Congestion control ("flow.*" config keys / UGNIRT_FLOW_* env).  A
   /// CongestionEstimator is installed on the network when `enable`; the
-  /// uGNI layer additionally spins up its InjectionGovernor.
+  /// uGNI protocol core (per-PE and SMP) additionally spins up its
+  /// InjectionGovernor.
   flowcontrol::FlowConfig flow{};
   /// Multi-tenancy ("tenancy.*" config keys / UGNIRT_TENANCY_* env).
   /// Config only: drivers construct a tenancy::JobManager over the

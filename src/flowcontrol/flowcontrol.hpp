@@ -15,13 +15,14 @@
 //     it tracks a smoothed wait fraction per directional link and per
 //     NIC.  The network also consults it for congestion-aware minimal
 //     adaptive routing (see Network::pick_order).
-//   * InjectionGovernor — owned by the uGNI LRTS layer.  An AIMD window
-//     per PE caps outstanding FMA/BTE transactions: rendezvous GETs that
-//     would exceed the window are deferred (kInjectionStall) and drained
-//     from the progress engine as completions free slots.  Completions
-//     on hot paths shrink the window multiplicatively; cool completions
-//     grow it additively.  The governor also adapts the eager cap and
-//     the FMA/BTE threshold while the destination NIC is hot.
+//   * InjectionGovernor — owned by the uGNI protocol core (both uGNI
+//     layers).  An AIMD window per PE caps outstanding FMA/BTE
+//     transactions: rendezvous GETs that would exceed the window are
+//     deferred (kInjectionStall) and drained from the progress engine as
+//     completions free slots.  Completions on hot paths shrink the window
+//     multiplicatively; cool completions grow it additively.  The governor
+//     also adapts the eager cap and the FMA/BTE threshold while the
+//     destination NIC is hot.
 //
 // Everything is a deterministic function of the (deterministic) reserve
 // and completion sequences, so seeded runs stay bit-reproducible.

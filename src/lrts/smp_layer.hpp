@@ -20,24 +20,29 @@
 //   * the comm thread is a serialization point: at high message rates it
 //     saturates before independent per-PE NICs would (the known SMP-mode
 //     trade-off; see ablation_smp).
+//
+// The wire protocol is the one UgniLayer speaks (lrts/protocol.hpp): this
+// layer is its routed policy.  The comm thread owns the node's endpoint
+// and pays every protocol charge; deliveries land in the worker's
+// scheduler queue.  Flow control and tenancy QoS apply as in UgniLayer,
+// with the governor keyed by the receiving worker PE.  What only this
+// layer has: the comm-thread actor (comm_wake/comm_step and the worker
+// outq), the intra-node pointer handoff and the 4-byte worker-route
+// prefix on data messages.  Persistent messages are not supported.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "converse/machine.hpp"
-#include "fault/retry.hpp"
 #include "lrts/layer_stats.hpp"
-#include "lrts/retry_util.hpp"
-#include "mempool/mempool.hpp"
-#include "ugni/ugni.hpp"
+#include "lrts/protocol.hpp"
 
 namespace ugnirt::lrts {
 
-class SmpLayer final : public converse::MachineLayer {
+class SmpLayer final : public converse::MachineLayer,
+                       private ProtocolCore<SmpLayer> {
  public:
   SmpLayer();
   ~SmpLayer() override;
@@ -62,52 +67,41 @@ class SmpLayer final : public converse::MachineLayer {
   void collect_metrics(trace::MetricsRegistry& reg) override;
 
   /// Mailbox memory across the job: grows with node pairs, not PE pairs.
-  std::uint64_t total_mailbox_bytes() const;
+  using ProtocolBase::total_mailbox_bytes;
+
+  /// The injection governor (keyed by worker PE), or nullptr when flow
+  /// control is disabled.
+  flowcontrol::InjectionGovernor* governor() override {
+    return governor_.get();
+  }
 
  private:
+  friend class ProtocolCore<SmpLayer>;
   struct NodeState;
+
+  // ---- protocol policy (see lrts/protocol.hpp) ----
+  static constexpr bool kRouted = true;
+  void release(sim::Context& ctx, Endpoint& e, void* msg);
+  /// No-op: comm_step re-arms the thread past a backlog's retry instant.
+  void wake(Endpoint&, SimTime) {}
+  void deliver(sim::Context& ctx, Endpoint& e, int pe, void* msg);
+  void on_data(sim::Context& ctx, Endpoint& e, const void* bytes,
+               SimTime arrival);
 
   NodeState& node_state(int node) {
     return *nodes_[static_cast<std::size_t>(node)];
   }
   void ensure_domain(converse::Machine& m);
-  /// Endpoint to `dest_node` via ugni::Nic::get_or_connect — the uGNI API
-  /// owns channel creation and its first-touch cost (charged to the comm
-  /// thread that first touches the peer).
-  ugni::gni_ep_handle_t connect(NodeState& src, int dest_node);
   void comm_wake(NodeState& n, SimTime t);
   void comm_step(NodeState& n, SimTime t);
-  void comm_handle_smsg(sim::Context& ctx, NodeState& n, int src_inst);
-  void comm_handle_completion(sim::Context& ctx, NodeState& n,
-                              const ugni::gni_cq_entry_t& ev);
-  void comm_send(sim::Context& ctx, NodeState& n, int dest_pe,
-                 std::uint8_t tag, const void* bytes, std::uint32_t len,
-                 void* owned_msg);
-  void comm_flush(sim::Context& ctx, NodeState& n);
-  /// Start the node-level rendezvous protocol for `msg` (register or
-  /// pool-resolve, then send/queue the INIT control message).
-  void begin_node_rendezvous(sim::Context& ctx, NodeState& n, int dest_pe,
-                             std::uint32_t size, void* msg);
-  void deliver_to_worker(NodeState& n, int pe, void* msg, SimTime t);
 
-  converse::Machine* machine_ = nullptr;
-  std::unique_ptr<ugni::Domain> domain_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
-  std::uint32_t smsg_cap_ = 1024;
-  fault::RetryPolicy retry_{};
 
-  // Hot-path counters bound to the machine registry in ensure_domain.
+  // Counters of the comm thread and the pointer handoff (the protocol's
+  // own live in ProtocolBase).
   trace::Counter* c_intra_node_ptr_msgs_ = nullptr;
   trace::Counter* c_comm_thread_sends_ = nullptr;
-  trace::Counter* c_rendezvous_gets_ = nullptr;
   trace::Counter* c_comm_thread_busy_defers_ = nullptr;
-  trace::Counter* c_retry_smsg_ = nullptr;
-  trace::Counter* c_retry_post_ = nullptr;
-  trace::Counter* c_retry_mem_register_ = nullptr;
-  trace::Counter* c_retry_escalations_ = nullptr;
-  trace::Counter* c_fallback_rendezvous_ = nullptr;
-  trace::Counter* c_fallback_heap_ = nullptr;
-  trace::Counter* c_cq_recovered_ = nullptr;
 };
 
 }  // namespace ugnirt::lrts

@@ -1,10 +1,11 @@
-// Fault-injection matrix for the uGNI stack (ISSUE: deterministic faults +
+// Fault-injection matrix for the uGNI stack (deterministic faults +
 // retry/backoff).  Each fault class the injector can force — transient
 // post errors, registration failures, SMSG send errors, CQ overruns,
 // credit-starvation windows, link degradation and blackouts — is swept
-// through ping-pong and k-neighbor traffic on the uGNI layer (plus SMP and
-// MPI spot checks), asserting the one property the runtime guarantees:
-// every message is delivered exactly once, no matter what the fabric does.
+// through ping-pong and k-neighbor traffic on both uGNI machine layers
+// (per-PE and SMP, plus an MPI spot check), asserting the one property
+// the runtime guarantees: every message is delivered exactly once, no
+// matter what the fabric does.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -206,16 +207,25 @@ std::vector<FaultCase> fault_matrix() {
   return cases;
 }
 
-class FaultMatrixUgni : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(FaultMatrixUgni, PingPongDeliversEveryLeg) {
-  const FaultCase& fc = fault_matrix()[GetParam()];
+/// The matrix runs every fault class over both uGNI machine layers.  The
+/// SMP arm puts 2 PEs on each node, so its inter-node traffic goes
+/// through the node's comm thread (and same-node pairs by pointer).
+MachineOptions matrix_options(bool smp, int pes, const fault::FaultPlan& f) {
   MachineOptions o;
-  o.pes = 2;
-  o.pes_per_node = 1;  // inter-node so the NIC paths are exercised
-  o.fault = fc.plan;
-  auto m = lrts::make_machine(LayerKind::kUgni, o);
-  // Small (eager SMSG) and large (rendezvous GET) legs under fault fire.
+  o.pes = pes;
+  o.smp_mode = smp;
+  o.pes_per_node = smp ? 2 : 1;  // uGNI: every PE on its own NIC
+  o.fault = f;
+  return o;
+}
+
+/// Ping-pong between PE 0 and the first PE on another node, with small
+/// (eager SMSG) and large (rendezvous GET) legs under fault fire.
+void ping_pong_delivers_every_leg(bool smp, std::size_t fault_class) {
+  const FaultCase fc = fault_matrix()[fault_class];
+  auto m = lrts::make_machine(LayerKind::kUgni,
+                              matrix_options(smp, smp ? 4 : 2, fc.plan));
+  const int partner = m->options().effective_pes_per_node();
   for (std::uint32_t payload : {64u, 32768u}) {
     const std::uint32_t total = payload + kCmiHeaderBytes;
     constexpr int kLegs = 20;
@@ -226,24 +236,22 @@ TEST_P(FaultMatrixUgni, PingPongDeliversEveryLeg) {
       if (++legs >= kLegs) return;
       void* next = CmiAlloc(total);
       CmiSetHandler(next, h);
-      CmiSyncSendAndFree(1 - CmiMyPe(), total, next);
+      CmiSyncSendAndFree(CmiMyPe() == 0 ? partner : 0, total, next);
     });
     m->start(0, [&, h] {
       void* msg = CmiAlloc(total);
       CmiSetHandler(msg, h);
-      CmiSyncSendAndFree(1, total, msg);
+      CmiSyncSendAndFree(partner, total, msg);
     });
     m->run();
     EXPECT_EQ(legs, kLegs) << fc.label << " payload " << payload;
   }
 }
 
-TEST_P(FaultMatrixUgni, KNeighborZeroLossZeroDuplication) {
-  const FaultCase& fc = fault_matrix()[GetParam()];
-  MachineOptions o;
-  o.pes = 8;
+void kneighbor_zero_loss_zero_duplication(bool smp, std::size_t fault_class) {
+  const FaultCase fc = fault_matrix()[fault_class];
+  MachineOptions o = matrix_options(smp, 8, fc.plan);
   o.pes_per_node = 2;
-  o.fault = fc.plan;
   auto m = lrts::make_machine(LayerKind::kUgni, o);
   constexpr int kK = 2, kMsgs = 6;
   auto received = run_kneighbor(*m, kK, kMsgs, 512);
@@ -254,12 +262,35 @@ TEST_P(FaultMatrixUgni, KNeighborZeroLossZeroDuplication) {
   }
 }
 
+class FaultMatrixUgni : public ::testing::TestWithParam<std::size_t> {};
+class FaultMatrixSmp : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FaultMatrixUgni, PingPongDeliversEveryLeg) {
+  ping_pong_delivers_every_leg(false, GetParam());
+}
+TEST_P(FaultMatrixSmp, PingPongDeliversEveryLeg) {
+  ping_pong_delivers_every_leg(true, GetParam());
+}
+TEST_P(FaultMatrixUgni, KNeighborZeroLossZeroDuplication) {
+  kneighbor_zero_loss_zero_duplication(false, GetParam());
+}
+TEST_P(FaultMatrixSmp, KNeighborZeroLossZeroDuplication) {
+  kneighbor_zero_loss_zero_duplication(true, GetParam());
+}
+
+std::string fault_class_name(
+    const ::testing::TestParamInfo<std::size_t>& info) {
+  return fault_matrix()[info.param].label;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllClasses, FaultMatrixUgni,
                          ::testing::Range<std::size_t>(0,
                                                        fault_matrix().size()),
-                         [](const auto& info) {
-                           return fault_matrix()[info.param].label;
-                         });
+                         fault_class_name);
+INSTANTIATE_TEST_SUITE_P(AllClasses, FaultMatrixSmp,
+                         ::testing::Range<std::size_t>(0,
+                                                       fault_matrix().size()),
+                         fault_class_name);
 
 TEST(FaultSmp, KNeighborSurvivesCombinedFaults) {
   MachineOptions o;

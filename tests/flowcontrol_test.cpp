@@ -3,8 +3,9 @@
 // (admission, pacing, threshold adaptation), LinkSchedule reservation
 // properties (sorted/bounded intervals, backfill past stale cursors),
 // congestion-aware adaptive routing, the hotspot end-to-end path with
-// pacing on (zero loss, stalls drained), the fault-matrix rerun with
-// flow control enabled, and seeded determinism of the traced timelines.
+// pacing on (zero loss, stalls drained) on both uGNI machine layers, the
+// fault-matrix rerun with flow control enabled, and seeded determinism of
+// the traced timelines (per-PE and SMP).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -105,21 +106,41 @@ TEST(FlowConfig, EnvOverridesApplyInMakeMachine) {
   EXPECT_EQ(m->network().congestion_estimator(), m->congestion_estimator());
 }
 
+/// Flow control on either uGNI machine layer: per-PE NICs, or SMP with 2
+/// workers per node so a comm thread carries the inter-node traffic.
+class FlowConfigPerLayer : public ::testing::TestWithParam<bool> {};
+class FlowEndToEndPerLayer : public ::testing::TestWithParam<bool> {};
+
+std::string layer_name(const ::testing::TestParamInfo<bool>& info) {
+  return info.param ? "SMP" : "uGNI";
+}
+
+MachineOptions layer_options(bool smp, int pes) {
+  MachineOptions o;
+  o.layer = LayerKind::kUgni;
+  o.pes = pes;
+  o.smp_mode = smp;
+  o.pes_per_node = smp ? 2 : 1;
+  return o;
+}
+
 // Defaults preserve stock behavior: no estimator is even constructed and
 // the metric dump carries no flow.* rows (byte-compat with the seed).
-TEST(FlowConfig, DisabledByDefaultLeavesStockMachine) {
-  MachineOptions o;
-  o.pes = 2;
-  auto m = lrts::make_machine(LayerKind::kUgni, o);
+TEST_P(FlowConfigPerLayer, DisabledByDefaultLeavesStockMachine) {
+  auto m = lrts::make_machine(LayerKind::kUgni, layer_options(GetParam(), 4));
   EXPECT_FALSE(m->options().flow.enable);
   EXPECT_EQ(m->congestion_estimator(), nullptr);
   EXPECT_EQ(m->network().congestion_estimator(), nullptr);
+  EXPECT_EQ(m->layer().governor(), nullptr);
   m->collect_metrics();
   std::ostringstream csv;
   m->metrics().write_csv(csv);
   EXPECT_EQ(csv.str().find("flow."), std::string::npos);
   EXPECT_EQ(csv.str().find("net.adaptive_reroutes"), std::string::npos);
 }
+
+INSTANTIATE_TEST_SUITE_P(Layers, FlowConfigPerLayer, ::testing::Bool(),
+                         layer_name);
 
 // -------------------------------------------------------------- estimator ----
 
@@ -384,11 +405,13 @@ int run_hotspot(converse::Machine& m, int msgs, std::uint32_t payload) {
 
 // A tight window under hotspot load forces injection stalls; every
 // deferred GET must still drain (no loss, no deadlock) and the flow.*
-// observability surface must be populated.
-TEST(FlowEndToEnd, HotspotPacingStallsButLosesNothing) {
+// observability surface must be populated.  In SMP mode the governor is
+// keyed by the receiving worker and PE 0's comm thread drains its GETs.
+TEST_P(FlowEndToEndPerLayer, HotspotPacingStallsButLosesNothing) {
   trace::EventTracer tracer(1u << 18);
   trace::set_tracer(&tracer);
-  auto o = flow_options(8);
+  auto o = layer_options(GetParam(), 8);
+  o.flow.enable = true;
   o.flow.window_min = 1;
   o.flow.window_start = 1;
   o.flow.window_max = 2;
@@ -415,6 +438,9 @@ TEST(FlowEndToEnd, HotspotPacingStallsButLosesNothing) {
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(Layers, FlowEndToEndPerLayer, ::testing::Bool(),
+                         layer_name);
+
 // Adaptive routing steers minimal routes off loaded links under hotspot
 // pressure — and stays strictly on stock routes when the knob is off.
 TEST(FlowEndToEnd, AdaptiveRoutingReroutesUnderHotspot) {
@@ -431,6 +457,41 @@ TEST(FlowEndToEnd, AdaptiveRoutingReroutesUnderHotspot) {
       EXPECT_EQ(st.adaptive_reroutes, 0u);
     }
   }
+}
+
+// One SMP comm thread drains the deferred GETs of all its workers.  A
+// worker whose window is full must not hold back another worker's GETs:
+// PE 1's second GET, deferred behind PE 0's, is re-admitted as soon as
+// PE 1's own window frees, before PE 0's queue drains.
+TEST(FlowSmp, RefusedWorkerDoesNotBlockAnotherWorkersDeferredGets) {
+  auto o = layer_options(/*smp=*/true, 4);  // node 0: PEs 0,1; node 1: 2,3
+  o.flow.enable = true;
+  o.flow.window_min = 1;
+  o.flow.window_start = 1;
+  o.flow.window_max = 1;
+  auto m = lrts::make_machine(LayerKind::kUgni, o);
+  std::vector<SimTime> at0, at1;
+  int h = m->register_handler([&](void* msg) {
+    const SimTime now = converse::Machine::running()->current_pe().ctx().now();
+    (CmiMyPe() == 0 ? at0 : at1).push_back(now);
+    CmiFree(msg);
+  });
+  const std::uint32_t total = 4 * 1024 + kCmiHeaderBytes;  // rendezvous
+  m->start(2, [&, h] {
+    for (int dest : {0, 0, 0, 0, 0, 0, 0, 0, 1, 1}) {
+      void* msg = CmiAlloc(total);
+      CmiSetHandler(msg, h);
+      CmiSyncSendAndFree(dest, total, msg);
+    }
+  });
+  m->run();
+  m->collect_metrics();
+  ASSERT_EQ(at0.size(), 8u);
+  ASSERT_EQ(at1.size(), 2u);
+  EXPECT_GT(m->metrics().counter("flow.injection_stalls").value(), 0u);
+  // Node 0's GETs share one BTE FIFO, so delivery order is GET order:
+  // queued behind PE 0's deferred GETs, PE 1's second would land last.
+  EXPECT_LT(at1[1], at0.back());
 }
 
 // ------------------------------------------------------------ fault matrix ---
@@ -536,10 +597,11 @@ TEST(FlowFault, MatrixZeroLossWithFlowControlEnabled) {
 
 // ------------------------------------------------------------ determinism ----
 
-std::string traced_flow_run(std::uint64_t seed) {
+std::string traced_flow_run(std::uint64_t seed, bool smp = false) {
   trace::EventTracer tracer(1u << 18);
   trace::set_tracer(&tracer);
-  auto o = flow_options(8);
+  auto o = smp ? layer_options(true, 8) : flow_options(8);
+  o.flow.enable = true;
   o.flow.adaptive_routing = true;
   o.flow.window_min = 1;
   o.flow.window_start = 1;
@@ -567,6 +629,14 @@ std::string traced_flow_run(std::uint64_t seed) {
 TEST(FlowDeterminism, SameSeedSameEventTraceWithFlowControl) {
   const std::string a = traced_flow_run(0xF10);
   const std::string b = traced_flow_run(0xF10);
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a.find("injection_stall"), std::string::npos);
+}
+
+// The same holds when SMP comm threads drive the governed GETs.
+TEST(FlowDeterminism, SmpSameSeedSameEventTraceWithFlowControl) {
+  const std::string a = traced_flow_run(0xF10, /*smp=*/true);
+  const std::string b = traced_flow_run(0xF10, /*smp=*/true);
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("injection_stall"), std::string::npos);
 }

@@ -200,6 +200,36 @@ TEST(SmpLayer, NamdModelBenefitsFromSmpMode) {
   EXPECT_LT(t_smp, t_plain);
 }
 
+// Without the mempool every rendezvous buffer is a registered heap buffer
+// on both sides: the sender's until the ACK, the receiver's landing buffer
+// until its GET completes.  Both must be deregistered, so nothing is left
+// pinned once the run drains.
+TEST(SmpLayer, NoPoolRendezvousDeregistersEveryBuffer) {
+  MachineOptions o = smp_opts(8, 4);  // 2 nodes x 4 workers
+  o.use_mempool = false;
+  auto m = lrts::make_machine(LayerKind::kUgni, o);
+  constexpr std::uint32_t kTotal = kCmiHeaderBytes + 128 * 1024;
+  int got = 0;
+  int h = m->register_handler([&](void* msg) {
+    ++got;
+    CmiFree(msg);
+  });
+  m->start(0, [&, h] {
+    for (int dest = 4; dest < 8; ++dest) {  // every worker of node 1
+      void* msg = CmiAlloc(kTotal);
+      CmiSetHandler(msg, h);
+      CmiSyncSendAndFree(dest, kTotal, msg);
+    }
+  });
+  m->run();
+  EXPECT_EQ(got, 4);
+  auto* layer = dynamic_cast<lrts::SmpLayer*>(&m->layer());
+  ASSERT_NE(layer, nullptr);
+  EXPECT_EQ(layer->stats().rendezvous_gets, 4u);
+  m->collect_metrics();
+  EXPECT_EQ(m->metrics().gauge("ugni.registered_bytes").value(), 0.0);
+}
+
 TEST(SmpLayer, DeterministicRuns) {
   auto run = [] {
     auto m = lrts::make_machine(LayerKind::kUgni, smp_opts(6, 3));

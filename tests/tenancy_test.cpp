@@ -222,9 +222,14 @@ TEST(TenancyPlacement, RandomIsSeededDeterministic) {
 // Placing QoS-classed jobs on a flow-controlled machine must bound every
 // PE's governor window: latency floors lift the AIMD minimum, bulk and
 // scavenger ceilings cap it (clamping the live cwnd down immediately),
-// and drain quotas land per PE.
-TEST(TenancyQos, ClassesLandInGovernorWindows) {
-  auto o = tenant_options(16, "compact");
+// and drain quotas land per PE.  Both uGNI machine layers carry the
+// governor; in SMP mode (4 workers per node) it is keyed by worker PE.
+class TenancyQosPerLayer : public ::testing::TestWithParam<bool> {};
+
+TEST_P(TenancyQosPerLayer, ClassesLandInGovernorWindows) {
+  const bool smp = GetParam();
+  auto o = tenant_options(16, "compact", smp ? 4 : 1);
+  o.smp_mode = smp;
   o.flow.enable = true;  // window_start 8, window_min 2, window_max 64
   o.tenancy.qos_latency_floor = 12;
   o.tenancy.qos_bulk_ceiling = 4;
@@ -252,6 +257,11 @@ TEST(TenancyQos, ClassesLandInGovernorWindows) {
     EXPECT_EQ(gov->drain_quota(pe), 1u);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Layers, TenancyQosPerLayer, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "SMP" : "uGNI");
+                         });
 
 // qos_enable=false partitions the PE space but leaves the governor
 // byte-identical to stock — the ablation's noqos leg.
