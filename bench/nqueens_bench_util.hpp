@@ -1,8 +1,8 @@
 // Shared setup for the N-Queens benchmarks (Fig 11, Fig 12, Table I).
 //
 // Board sizes >= 16 default to the deterministic sampled subtree model
-// (full enumeration of 17..19-Queens is hours of CPU on this container;
-// see DESIGN.md).  Environment knobs:
+// (the exact 18-Queens table takes about a minute even with the build
+// spread over four cores; see DESIGN.md).  Environment knobs:
 //   UGNIRT_NQ_FULL=1      exact subtree solving everywhere
 //   UGNIRT_NQ_SAMPLES=n   sampled-model sample count (default 1000)
 #pragma once

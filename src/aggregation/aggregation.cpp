@@ -121,7 +121,6 @@ bool Aggregator::enqueue(sim::Context& ctx, converse::Pe& src, int dest_pe,
     buf.msg = machine_.layer().alloc(ctx, src, total);
     converse::CmiMsgHeader* bh = header_of(buf.msg);
     *bh = converse::CmiMsgHeader{};
-    bh->alloc_pe = src.id();
     bh->flags = converse::kMsgFlagSystem | converse::kMsgFlagAggBatch;
     buf.writer.emplace(converse::payload_of(buf.msg), cap);
     buf.deadline = ctx.now() + cfg_.max_delay_ns;

@@ -1,11 +1,13 @@
 // Sequential bitmask N-Queens solver.
 //
 // The classic three-bitmask backtracking kernel: `cols` marks occupied
-// columns, `diag_l`/`diag_r` the occupied diagonals shifted per row.  Used
+// columns, `diag_l`/`diag_r` the occupied diagonals shifted per row.  It
+// walks an explicit stack instead of recursing and counts the last row of
+// each branch with one popcount.  Used
 // (a) to solve subtrees below the parallelization threshold, (b) to count
 // nodes so task compute cost can be charged in virtual time, and (c) to
-// build the sampled subtree-cost model for board sizes too large to
-// enumerate exactly on this container (see DESIGN.md).
+// build the exact and sampled subtree-cost models (see subtree_model.hpp
+// and DESIGN.md).
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "apps/nqueens/parallel_for.hpp"
+
 namespace ugnirt::apps::nqueens {
 
 namespace {
@@ -98,12 +100,12 @@ std::unique_ptr<ExactModel> ExactModel::build(int n, int threshold) {
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
 
-  model->table_.reserve(keys.size());
-  for (std::uint64_t key : keys) {
-    const Prefix p = unpack(n, key);
-    model->table_.emplace_back(
-        key, solve(n, threshold, p.cols, p.diag_l, p.diag_r));
-  }
+  auto& table = model->table_;
+  table.resize(keys.size());
+  parallel_for(keys.size(), [&](std::size_t i) {
+    const Prefix p = unpack(n, keys[i]);
+    table[i] = {keys[i], solve(n, threshold, p.cols, p.diag_l, p.diag_r)};
+  });
   return model;
 }
 
@@ -145,10 +147,17 @@ std::unique_ptr<SampledModel> SampledModel::build(int n, int threshold,
     std::swap(prefixes[i], prefixes[j]);
   }
 
+  std::vector<SolveResult> results(k);
+  parallel_for(k, [&](std::size_t i) {
+    const Prefix& p = prefixes[i];
+    results[i] = solve(n, threshold, p.cols, p.diag_l, p.diag_r);
+  });
+  // Sums and sorts stay sequential, in sample order: the estimates do not
+  // depend on how the solves were spread over threads.
   long double node_sum = 0, sol_sum = 0;
   for (std::size_t i = 0; i < k; ++i) {
     const Prefix& p = prefixes[i];
-    SolveResult r = solve(n, threshold, p.cols, p.diag_l, p.diag_r);
+    const SolveResult& r = results[i];
     model->sampled_.emplace_back(
         prefix_key(threshold, p.cols, p.diag_l, p.diag_r), r);
     model->empirical_.push_back(r);

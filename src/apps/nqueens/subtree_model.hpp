@@ -1,9 +1,12 @@
 // Subtree cost models for the parallel N-Queens search.
 //
 // Below the parallelization threshold each task solves its subtree
-// sequentially.  For board sizes whose full enumeration is too slow for
-// this container (N >= 16; 19-Queens visits ~10^10 nodes), a *sampled*
-// model solves a deterministic sample of threshold-depth subtrees exactly
+// sequentially.  Both models solve their subtrees ahead of the run, spread
+// over one host thread per core (parallel_for.hpp); every result lands in
+// its own slot, so the tables do not depend on the thread count.  For
+// board sizes whose full enumeration is too slow even then (the 18-Queens
+// depth-5 table takes about a minute on four cores), a *sampled* model
+// solves a deterministic sample of threshold-depth subtrees exactly
 // and assigns every unsampled subtree a draw from the resulting empirical
 // distribution, keyed by a hash of the prefix.  This preserves the two
 // properties the scaling experiment depends on: total work magnitude and

@@ -171,7 +171,6 @@ void Collectives::section_deliver(void* msg) {
     if (vchild >= static_cast<int>(pes.size())) break;
     void* copy = CmiAlloc(total);
     std::memcpy(copy, msg, total);
-    converse::header_of(copy)->alloc_pe = CmiMyPe();
     msg_payload<SectionMsg>(copy)->vrank = vchild;
     CmiSetHandler(copy, section_handler_);
     CmiSyncSendAndFree(pes[static_cast<std::size_t>(vchild)], total, copy);

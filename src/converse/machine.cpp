@@ -234,7 +234,6 @@ void* Machine::alloc_msg(std::uint32_t total) {
   CmiMsgHeader* h = header_of(msg);
   *h = CmiMsgHeader{};
   h->size = total;
-  h->alloc_pe = pe.id();
   return msg;
 }
 
@@ -306,7 +305,6 @@ void* Machine::clone_runtime_owned(Pe& src, void* msg) {
   src.ctx().charge(options_.mc.memcpy_cost(h->size));
   std::memcpy(copy, msg, h->size);
   CmiMsgHeader* ch = header_of(copy);
-  ch->alloc_pe = src.id();
   ch->flags &= static_cast<std::uint16_t>(~kMsgFlagNoFree);
   return copy;
 }
@@ -351,7 +349,6 @@ void Machine::forward_broadcast(Pe& pe, void* msg) {
     pe.ctx().charge(options_.mc.memcpy_cost(h->size));
     std::memcpy(copy, msg, h->size);
     CmiMsgHeader* ch = header_of(copy);
-    ch->alloc_pe = pe.id();
     ch->flags &= static_cast<std::uint16_t>(~kMsgFlagNoFree);
     send(child, copy);
   }

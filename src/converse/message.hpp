@@ -26,7 +26,7 @@ struct CmiMsgHeader {
   std::uint16_t handler = 0;    // registered handler index
   std::uint16_t flags = 0;
   std::int32_t src_pe = -1;     // logical sender
-  std::int32_t alloc_pe = -1;   // PE whose allocator owns this buffer
+  std::int32_t reserved = 0;    // spare: keeps the 24-byte layout
   std::uint32_t bcast_root = 0; // spanning-tree root for broadcasts
   std::uint32_t span_id = 0;    // lifecycle-span id (0 = unsampled); rides
                                 // the envelope so it survives memcpy hops

@@ -99,8 +99,6 @@ std::uint32_t MpiLayer::recommended_batch_bytes(converse::Pe& src,
 
 void MpiLayer::advance(sim::Context& ctx, converse::Pe& pe) {
   PeState& s = state(pe);
-  const auto& mc = machine_->options().mc;
-
   // Complete rendezvous sends so their buffers can be released.
   while (!s.outstanding.empty()) {
     PeState::OutSend& os = s.outstanding.front();
@@ -119,9 +117,6 @@ void MpiLayer::advance(sim::Context& ctx, converse::Pe& pe) {
     void* buf = alloc(ctx, pe, status.count);
     comm_->recv(pe.id(), status.source, kCharmTag, buf, status.count,
                 &status);
-    converse::CmiMsgHeader* h = header_of(buf);
-    h->alloc_pe = pe.id();
-    (void)mc;
     if (trace::spans_enabled()) {
       // MPI surfaces the message only at receive time, so wire arrival and
       // completion coincide here.

@@ -37,9 +37,11 @@ bool back_off(sim::Context& ctx, const fault::RetryPolicy& policy,
 }  // namespace
 
 Endpoint::~Endpoint() {
+  // Pool blocks go with their pools; only heap-fallback buffers need
+  // releasing here.
   for (const Pending& p : backlog) {
-    if (p.msg && !(pool && pool->owns(p.msg))) {
-      ::operator delete[](p.msg, std::align_val_t{16});
+    if (p.msg && !mempool::MemPool::pool_of(p.msg)) {
+      mempool::MemPool::free_heap(p.msg);
     }
   }
 }
@@ -127,8 +129,9 @@ void* ProtocolBase::alloc_buffer(sim::Context& ctx, Endpoint& e,
   }
   // "Original" path: modeled system malloc.
   ctx.charge(machine_->options().mc.malloc_cost(bytes));
-  return ::operator new[](bytes, std::align_val_t{16});
+  return mempool::MemPool::alloc_heap(bytes);
 }
+
 
 void ProtocolBase::register_buffer(sim::Context& ctx, Endpoint& e,
                                    const void* buf, std::uint64_t len,

@@ -168,12 +168,10 @@ class ProtocolBase {
   /// traced against `fallback_peer`).
   void* alloc_buffer(sim::Context& ctx, Endpoint& e, std::size_t bytes,
                      int fallback_peer, bool* pooled = nullptr);
-  /// Return a buffer to `e`'s pool, to the pool of the endpoint
-  /// `owner_of(alloc_pe)` lent it from, or (heap fallback, no pools) to
-  /// the modeled heap.
-  template <typename OwnerOf>
-  void free_buffer(sim::Context& ctx, Endpoint& e, void* msg,
-                   OwnerOf owner_of);
+  /// Return an alloc_buffer() buffer to the pool its header names (any
+  /// endpoint's: pxshm single copy frees buffers a peer's pool lent), or
+  /// a heap-fallback buffer to the modeled heap.
+  void free_buffer(sim::Context& ctx, void* msg);
 
   /// GNI_MemRegister with backoff on transient resource exhaustion.
   void register_buffer(sim::Context& ctx, Endpoint& e, const void* buf,
@@ -272,27 +270,16 @@ class ProtocolCore : public ProtocolBase {
 };
 
 // ---------------------------------------------------------------------------
-// ProtocolBase templates
+// ProtocolBase inline members (per-message paths) and templates
 // ---------------------------------------------------------------------------
 
-template <typename OwnerOf>
-void ProtocolBase::free_buffer(sim::Context& ctx, Endpoint& e, void* msg,
-                               OwnerOf owner_of) {
-  if (e.pool) {
-    if (e.pool->owns(msg)) {
-      e.pool->free(msg);
-      return;
-    }
-    // Lent by another endpoint's pool (pxshm single copy, or a buffer
-    // a comm thread delivered), or else a heap-fallback buffer.
-    Endpoint* o = owner_of(converse::header_of(msg)->alloc_pe);
-    if (o && o->pool && o->pool->owns(msg)) {
-      o->pool->free(msg);
-      return;
-    }
+inline void ProtocolBase::free_buffer(sim::Context& ctx, void* msg) {
+  if (mempool::MemPool* pool = mempool::MemPool::pool_of(msg)) {
+    pool->free(msg);
+    return;
   }
   ctx.charge(machine_->options().mc.free_base_ns);
-  ::operator delete[](msg, std::align_val_t{16});
+  mempool::MemPool::free_heap(msg);
 }
 
 template <typename OnEvent>
@@ -497,11 +484,11 @@ void ProtocolCore<Layer>::begin_rendezvous(sim::Context& ctx, Endpoint& e,
                                            std::uint32_t size, void* msg) {
   Endpoint::LargeSend ls;
   ls.msg = msg;
-  if (e.pool && e.pool->owns(msg)) {
+  if (e.pool && mempool::MemPool::pool_of(msg) == e.pool.get()) {
     ls.hndl = e.pool->handle_of(msg);
   } else {
-    // Heap buffer (no pool, or a heap-fallback allocation): register it,
-    // and deregister when the ACK arrives.
+    // Not in this NIC's pool (no pool, a heap-fallback buffer, or one a
+    // peer's pool lent): register it, and deregister when the ACK arrives.
     register_buffer(ctx, e, msg, size, &ls.hndl);
     ls.registered = true;
     c_registrations_->inc();

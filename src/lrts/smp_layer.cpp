@@ -111,10 +111,8 @@ void* SmpLayer::alloc(sim::Context& ctx, converse::Pe& pe,
                       /*fallback_peer=*/-1);
 }
 
-void SmpLayer::free_msg(sim::Context& ctx, converse::Pe& pe, void* msg) {
-  free_buffer(ctx, node_state(pe.node()), msg, [&](int owner) -> Endpoint* {
-    return owner >= 0 ? &node_state(machine_->node_of_pe(owner)) : nullptr;
-  });
+void SmpLayer::free_msg(sim::Context& ctx, converse::Pe&, void* msg) {
+  free_buffer(ctx, msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -235,13 +233,11 @@ void SmpLayer::comm_step(NodeState& n, SimTime t) {
 // Protocol policy: the node's comm thread owns the endpoint
 // ---------------------------------------------------------------------------
 
-void SmpLayer::release(sim::Context& ctx, Endpoint& e, void* msg) {
-  // Workers allocate from their node's pool: the comm thread's own.
-  free_buffer(ctx, e, msg, [](int) -> Endpoint* { return nullptr; });
+void SmpLayer::release(sim::Context& ctx, Endpoint&, void* msg) {
+  free_buffer(ctx, msg);
 }
 
 void SmpLayer::deliver(sim::Context& ctx, Endpoint&, int pe, void* msg) {
-  header_of(msg)->alloc_pe = pe;
   if (trace::spans_enabled()) {
     mark_msg_spans(msg, trace::Stage::kCqComplete, pe, ctx.now());
   }

@@ -161,11 +161,8 @@ void* UgniLayer::alloc(sim::Context& ctx, converse::Pe& pe,
   return alloc_buffer(ctx, state(pe), bytes, /*fallback_peer=*/-1);
 }
 
-void UgniLayer::free_msg(sim::Context& ctx, converse::Pe& pe, void* msg) {
-  // pxshm single copy delivers buffers a same-node peer's pool lent.
-  free_buffer(ctx, state(pe), msg, [&](int owner) -> Endpoint* {
-    return owner >= 0 && owner != pe.id() ? &state_of(owner) : nullptr;
-  });
+void UgniLayer::free_msg(sim::Context& ctx, converse::Pe&, void* msg) {
+  free_buffer(ctx, msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,16 +252,15 @@ bool UgniLayer::has_backlog(const converse::Pe& pe) const {
 // Protocol policy: the PE owns its endpoint
 // ---------------------------------------------------------------------------
 
-void UgniLayer::release(sim::Context& ctx, Endpoint& e, void* msg) {
-  free_msg(ctx, *static_cast<PeState&>(e).owner, msg);
+void UgniLayer::release(sim::Context& ctx, Endpoint&, void* msg) {
+  free_buffer(ctx, msg);
 }
 
 void UgniLayer::wake(Endpoint& e, SimTime t) {
   static_cast<PeState&>(e).owner->wake(t);
 }
 
-void UgniLayer::deliver(sim::Context& ctx, Endpoint& e, int pe, void* msg) {
-  header_of(msg)->alloc_pe = pe;
+void UgniLayer::deliver(sim::Context& ctx, Endpoint& e, int, void* msg) {
   static_cast<PeState&>(e).owner->enqueue(msg, ctx.now());
 }
 
@@ -300,7 +296,6 @@ void UgniLayer::on_extra_tag(sim::Context& ctx, Endpoint& e, std::uint8_t tag,
   // Deliver the landing buffer in place: zero copy, runtime-owned.
   CmiMsgHeader* h = header_of(rx.buf);
   h->flags |= kMsgFlagNoFree;
-  h->alloc_pe = s.pe;
   if (trace::spans_enabled() && h->span_id != 0) {
     // The PUT copied the whole envelope into the landing buffer, so
     // the sampled span id arrived with the data.
@@ -392,7 +387,7 @@ void UgniLayer::persistent_send(sim::Context& ctx, converse::Pe& src,
   ps.app_owned =
       (header_of(msg)->flags & kMsgFlagNoFree) != 0;  // app reuses buffer
   ugni::gni_mem_handle_t local_hndl{};
-  if (s.pool && s.pool->owns(msg)) {
+  if (s.pool && mempool::MemPool::pool_of(msg) == s.pool.get()) {
     local_hndl = s.pool->handle_of(msg);
   } else if (auto it = s.persist_send_reg.find(msg);
              it != s.persist_send_reg.end()) {
@@ -491,13 +486,12 @@ void UgniLayer::pxshm_poll(sim::Context& ctx, converse::Pe& pe) {
       mark_msg_spans(e.msg, trace::Stage::kRxArrive, pe.id(), e.at);
     }
     if (single_copy) {
-      // alloc_pe stays the sender: CmiFree routes back to its pool.
+      // The buffer stays in the sender's pool: CmiFree returns it there.
       pe.enqueue(e.msg, ctx.now());
     } else {
       void* buf = alloc(ctx, pe, e.size);
       ctx.charge(mc.memcpy_cost(e.size));
       std::memcpy(buf, e.msg, e.size);
-      header_of(buf)->alloc_pe = pe.id();
       // Free the sender-side buffer (the shm slot becomes reusable).
       free_msg(ctx, pe, e.msg);
       pe.enqueue(buf, ctx.now());

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cassert>
+#include <new>
 #include <stdexcept>
 
 #include "trace/events.hpp"
@@ -106,6 +107,7 @@ void* MemPool::carve(std::size_t bin, std::size_t block) {
       h->bin = static_cast<std::uint16_t>(bin);
       h->slab = static_cast<std::uint16_t>(i);
       h->magic = kMagicLive;
+      h->link = this;
       return base + kHeaderSize;
     }
   }
@@ -125,8 +127,8 @@ void* MemPool::alloc(std::size_t bytes) {
   ++stats_.outstanding;
   if (void* p = free_head_[bin]) {
     Header* h = header_of(p);
-    free_head_[bin] = h->next_free;
-    h->next_free = nullptr;
+    free_head_[bin] = h->link;
+    h->link = this;
     h->magic = kMagicLive;
     ++stats_.freelist_hits;
     if (trace::enabled()) {
@@ -152,8 +154,9 @@ void MemPool::free(void* p) {
   ctx().charge(mc.mempool_free_ns);
   Header* h = header_of(p);
   assert(h->magic == kMagicLive && "MemPool::free of invalid/double pointer");
+  assert(h->link == this && "MemPool::free of another pool's block");
   h->magic = kMagicFree;
-  h->next_free = free_head_[h->bin];
+  h->link = free_head_[h->bin];
   free_head_[h->bin] = p;
   ++stats_.frees;
   --stats_.outstanding;
@@ -165,16 +168,18 @@ ugni::gni_mem_handle_t MemPool::handle_of(const void* p) const {
   return slabs_[h->slab].handle;
 }
 
-bool MemPool::owns(const void* p) const {
-  if (!p) return false;
-  const auto* bytes = static_cast<const std::uint8_t*>(p);
-  for (const auto& slab : slabs_) {
-    if (bytes >= slab.memory.get() + kHeaderSize &&
-        bytes < slab.memory.get() + slab.size) {
-      return header_of(p)->magic == kMagicLive;
-    }
-  }
-  return false;
+void* MemPool::alloc_heap(std::size_t bytes) {
+  auto* base = static_cast<std::uint8_t*>(
+      ::operator new[](kHeaderSize + bytes, std::align_val_t{16}));
+  new (base) Header{kMagicHeap, 0, 0, nullptr};
+  return base + kHeaderSize;
+}
+
+void MemPool::free_heap(void* p) {
+  Header* h = header_of(p);
+  assert(h->magic == kMagicHeap && "MemPool::free_heap of a non-heap buffer");
+  h->magic = kMagicFree;
+  ::operator delete[](h, std::align_val_t{16});
 }
 
 std::size_t MemPool::block_size(const void* p) const {

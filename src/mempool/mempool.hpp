@@ -13,7 +13,10 @@
 //
 // The free lists are INTRUSIVE: the link lives in the spare half of the
 // 16-byte block header, and the list heads are a fixed inline array in the
-// pool object.  At full-machine scale (150k+ pools, one per PE) every
+// pool object.  While a block is live the same word names the pool that
+// owns it, so pool_of() resolves any buffer's owner from its header in
+// O(1); heap buffers made by alloc_heap() carry the same header with no
+// pool.  At full-machine scale (150k+ pools, one per PE) every
 // alloc/free walks cold memory, so the hot path is sized in cache lines:
 // intrusive links touch only the pool object and the block header — both
 // lines the operation must touch anyway — where the old vector-of-vectors
@@ -23,6 +26,7 @@
 
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -66,8 +70,21 @@ class MemPool {
   /// Registered-memory handle covering `p` (for RDMA descriptors).
   ugni::gni_mem_handle_t handle_of(const void* p) const;
 
-  /// True when `p` was produced by alloc() and is currently live.
-  bool owns(const void* p) const;
+  /// The pool whose live block `p` is, or nullptr for a live alloc_heap()
+  /// buffer.  `p` must be one of the two.
+  static MemPool* pool_of(const void* p) {
+    const Header* h = header_of(p);
+    assert((h->magic == kMagicLive || h->magic == kMagicHeap) &&
+           "MemPool::pool_of of a freed or foreign pointer");
+    return static_cast<MemPool*>(h->link);
+  }
+
+  /// A heap buffer of `bytes` behind the same 16-byte header, so pool_of()
+  /// can tell it from a pool block.  Charges nothing: the caller models
+  /// the malloc.
+  static void* alloc_heap(std::size_t bytes);
+  /// Release an alloc_heap() buffer.  Charges nothing.
+  static void free_heap(void* p);
 
   /// Usable size class of the allocation at `p`.
   std::size_t block_size(const void* p) const;
@@ -93,19 +110,21 @@ class MemPool {
   };
 
   // Block header stamped just before every returned pointer.  The spare
-  // 8 bytes carry the intrusive freelist link while the block is free
-  // (never read while live, so payload bytes are untouched either way).
+  // 8 bytes are the intrusive freelist link while the block is free and
+  // the owning pool (nullptr for a heap buffer) while it is live; payload
+  // bytes are untouched either way.
   struct Header {
     std::uint32_t magic = 0;
     std::uint16_t bin = 0;
     std::uint16_t slab = 0;
-    void* next_free = nullptr;
+    void* link = nullptr;  // free: next free block; live: owning MemPool
   };
   static constexpr std::size_t kHeaderSize = 16;  // keep payload aligned
   static_assert(sizeof(Header) == kHeaderSize,
                 "freelist link must fit the spare header bytes");
   static constexpr std::uint32_t kMagicLive = 0x9D00DA11u;
   static constexpr std::uint32_t kMagicFree = 0xFEE1DEADu;
+  static constexpr std::uint32_t kMagicHeap = 0x4EA9B10Cu;
 
   static std::size_t bin_of(std::size_t bytes);
   static std::size_t bin_block_size(std::size_t bin);
@@ -116,11 +135,11 @@ class MemPool {
   /// False when the slab's registration was refused by the NIC.
   bool add_slab(std::size_t min_bytes);
 
-  Header* header_of(void* p) const {
+  static Header* header_of(void* p) {
     return reinterpret_cast<Header*>(static_cast<std::uint8_t*>(p) -
                                      kHeaderSize);
   }
-  const Header* header_of(const void* p) const {
+  static const Header* header_of(const void* p) {
     return reinterpret_cast<const Header*>(
         static_cast<const std::uint8_t*>(p) - kHeaderSize);
   }

@@ -184,8 +184,7 @@ struct gni_smsg_attr_t {
 
 /// Largest instance id GNI_CdmAttach accepts.  The domain indexes NICs by
 /// instance id in a dense array, so the bound caps that array at about
-/// 128 MiB.  Runtimes use PE, rank or node numbers (dmapp adds a base of
-/// 1000), all far below it.
+/// 128 MiB.  Runtimes use PE, rank or node numbers, all far below it.
 constexpr std::int32_t kMaxInstId = 1 << 24;
 
 /// GNI_CdmCreate+GNI_CdmAttach equivalent: create a NIC instance bound to a

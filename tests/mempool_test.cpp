@@ -41,7 +41,7 @@ TEST_F(MemPoolFixture, AllocReturnsUsableRegisteredMemory) {
   sim::ScopedContext guard(*ctx_);
   void* p = pool_->alloc(1000);
   ASSERT_NE(p, nullptr);
-  EXPECT_TRUE(pool_->owns(p));
+  EXPECT_EQ(MemPool::pool_of(p), pool_.get());
   EXPECT_GE(pool_->block_size(p), 1000u);
   std::memset(p, 0xAB, 1000);
 
@@ -97,7 +97,7 @@ TEST_F(MemPoolFixture, ExpandsWhenExhausted) {
   for (int i = 0; i < 64; ++i) blocks.push_back(pool_->alloc(4096));
   EXPECT_GT(pool_->stats().expansions, initial_expansions);
   for (void* p : blocks) {
-    EXPECT_TRUE(pool_->owns(p));
+    EXPECT_EQ(MemPool::pool_of(p), pool_.get());
     pool_->free(p);
   }
   EXPECT_EQ(pool_->stats().outstanding, 0u);
@@ -188,15 +188,31 @@ TEST_F(MemPoolFixture, OversizedAllocationThrows) {
   EXPECT_THROW(pool_->alloc(MemPool::kMaxBlock * 2), std::length_error);
 }
 
-TEST_F(MemPoolFixture, OwnsRejectsForeignAndFreedPointers) {
+TEST_F(MemPoolFixture, PoolOfNamesTheOwningPoolOrTheHeap) {
   sim::ScopedContext guard(*ctx_);
-  int local = 0;
-  EXPECT_FALSE(pool_->owns(&local));
-  EXPECT_FALSE(pool_->owns(nullptr));
-  void* p = pool_->alloc(128);
-  EXPECT_TRUE(pool_->owns(p));
-  pool_->free(p);
-  EXPECT_FALSE(pool_->owns(p));
+  MemPool other(nic_, 4096);
+  void* mine = pool_->alloc(128);
+  void* theirs = other.alloc(128);
+  void* heap = MemPool::alloc_heap(128);
+  EXPECT_EQ(MemPool::pool_of(mine), pool_.get());
+  EXPECT_EQ(MemPool::pool_of(theirs), &other);
+  EXPECT_EQ(MemPool::pool_of(heap), nullptr);
+  std::memset(heap, 0xCD, 128);  // the payload is all the caller's
+
+  // A block recycled through the freelist is stamped again on reuse.
+  pool_->free(mine);
+  void* again = pool_->alloc(128);
+  EXPECT_EQ(again, mine);
+  EXPECT_EQ(MemPool::pool_of(again), pool_.get());
+  // The heap buffer is in neither pool's stats.
+  EXPECT_EQ(other.stats().outstanding, 1u);
+  EXPECT_EQ(pool_->stats().outstanding, 1u);
+
+  MemPool::free_heap(heap);
+  other.free(theirs);
+  pool_->free(again);
+  // A freed block is neither live nor a heap buffer: pool_of refuses it.
+  EXPECT_DEATH(MemPool::pool_of(again), "freed or foreign");
 }
 
 }  // namespace

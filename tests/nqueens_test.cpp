@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <vector>
+
 #include "apps/nqueens/parallel.hpp"
+#include "apps/nqueens/parallel_for.hpp"
 #include "apps/nqueens/solver.hpp"
 #include "apps/nqueens/subtree_model.hpp"
 
@@ -48,9 +52,79 @@ TEST(Solver, SubtreeDecompositionIsExact) {
   EXPECT_EQ(total, known_solutions(n));
 }
 
+TEST(Solver, PinnedSolutionsAndNodes) {
+  // {solutions, nodes} of the full board, root included in the nodes.
+  // Every N-Queens run charges the node count in virtual time, so any
+  // kernel must reproduce these exactly.
+  const SolveResult want[] = {
+      {1, 2},         {0, 3},         {0, 6},          {2, 17},
+      {10, 54},       {4, 153},       {40, 552},       {92, 2057},
+      {352, 8394},    {724, 35539},   {2680, 166926},  {14200, 856189},
+      {73712, 4674890}};
+  for (int n = 1; n <= 13; ++n) {
+    const SolveResult got = solve_all(n);
+    EXPECT_EQ(got.solutions, want[n - 1].solutions) << "n=" << n;
+    EXPECT_EQ(got.nodes, want[n - 1].nodes) << "n=" << n;
+  }
+}
+
+/// The textbook recursive kernel: one call per node visited.
+void reference_descend(std::uint32_t all, int rows_left, std::uint32_t cols,
+                       std::uint32_t diag_l, std::uint32_t diag_r,
+                       SolveResult& r) {
+  ++r.nodes;
+  if (rows_left == 0) {
+    ++r.solutions;
+    return;
+  }
+  std::uint32_t free = all & ~(cols | diag_l | diag_r);
+  while (free) {
+    const std::uint32_t bit = free & (0u - free);
+    free ^= bit;
+    reference_descend(all, rows_left - 1, cols | bit,
+                      ((diag_l | bit) << 1) & all, (diag_r | bit) >> 1, r);
+  }
+}
+
+TEST(Solver, MatchesRecursiveReferenceForEveryPrefix) {
+  for (int n = 1; n <= 11; ++n) {
+    const std::uint32_t all = (1u << n) - 1;
+    for (int row = 0; row <= n; ++row) {
+      for (const Prefix& p : enumerate_prefixes(n, row)) {
+        SolveResult want;
+        reference_descend(all, n - row, p.cols, p.diag_l, p.diag_r, want);
+        const SolveResult got = solve(n, row, p.cols, p.diag_l, p.diag_r);
+        ASSERT_EQ(got.nodes, want.nodes) << "n=" << n << " row=" << row;
+        ASSERT_EQ(got.solutions, want.solutions)
+            << "n=" << n << " row=" << row;
+      }
+    }
+  }
+}
+
 TEST(Solver, NodesGrowWithBoardSize) {
   EXPECT_GT(solve_all(10).nodes, solve_all(8).nodes);
   EXPECT_GT(solve_all(12).nodes, 10 * solve_all(10).nodes / 2);
+}
+
+// ----------------------------------------------------------- parallel_for ----
+
+TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
+  constexpr std::size_t kChunk = kParallelForChunk;
+  for (unsigned workers = 1; workers <= 8; ++workers) {
+    for (std::size_t count :
+         {std::size_t{0}, std::size_t{1}, kChunk - 1, kChunk, kChunk + 1,
+          8 * kChunk, 37 * kChunk + 5}) {
+      std::vector<std::atomic<int>> visits(count);
+      parallel_for(
+          count, [&](std::size_t i) { visits[i].fetch_add(1); }, workers);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(visits[i].load(), 1)
+            << "i=" << i << " count=" << count << " workers=" << workers;
+      }
+    }
+  }
+  EXPECT_GE(hardware_workers(), 1u);
 }
 
 // ------------------------------------------------------------ cost model ----
