@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <string>
 
 #include "converse/machine.hpp"
 #include "converse/message.hpp"
@@ -11,44 +10,6 @@
 #include "trace/spans.hpp"
 
 namespace ugnirt::aggregation {
-
-// ---------------------------------------------------------------------------
-// AggregationConfig <-> Config ("agg.*" keys / UGNIRT_AGG_* env)
-// ---------------------------------------------------------------------------
-
-namespace {
-std::string akey(const char* k) { return std::string("agg.") + k; }
-
-constexpr const char* kAggKeys[] = {
-    "agg.enable",       "agg.threshold",     "agg.buffer_bytes",
-    "agg.max_delay_ns", "agg.flush_on_idle",
-};
-}  // namespace
-
-AggregationConfig AggregationConfig::from(const Config& cfg) {
-  AggregationConfig a;
-  a.enable = cfg.get_bool_or(akey("enable"), a.enable);
-  a.threshold = static_cast<std::uint32_t>(
-      cfg.get_int_or(akey("threshold"), a.threshold));
-  a.buffer_bytes = static_cast<std::uint32_t>(
-      cfg.get_int_or(akey("buffer_bytes"), a.buffer_bytes));
-  a.max_delay_ns = cfg.get_int_or(akey("max_delay_ns"), a.max_delay_ns);
-  a.flush_on_idle = cfg.get_bool_or(akey("flush_on_idle"), a.flush_on_idle);
-  return a;
-}
-
-void AggregationConfig::export_to(Config& cfg) const {
-  cfg.set(akey("enable"), enable ? "true" : "false");
-  cfg.set(akey("threshold"), std::to_string(threshold));
-  cfg.set(akey("buffer_bytes"), std::to_string(buffer_bytes));
-  cfg.set(akey("max_delay_ns"), std::to_string(max_delay_ns));
-  cfg.set(akey("flush_on_idle"), flush_on_idle ? "true" : "false");
-}
-
-const char* const* AggregationConfig::config_keys(std::size_t* count) {
-  *count = sizeof(kAggKeys) / sizeof(kAggKeys[0]);
-  return kAggKeys;
-}
 
 // ---------------------------------------------------------------------------
 // Aggregator

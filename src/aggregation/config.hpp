@@ -2,14 +2,14 @@
 //
 // Lives in its own header so converse/machine.hpp can embed it in
 // MachineOptions without pulling in the Aggregator engine (which itself
-// depends on the Machine).  Keys live under "agg.*" and are overridable
-// via UGNIRT_AGG_* environment variables; `lrts::make_machine` applies
-// them automatically, same as the fault/retry/gemini knobs.
+// depends on the Machine).  Keys live under "agg.*", listed once in
+// AggregationConfig::for_each_knob, and are overridable via UGNIRT_AGG_*
+// environment variables; `lrts::make_machine` applies them straight to
+// the fields, same as the fault/retry/gemini knobs.
 #pragma once
 
 #include <cstdint>
 
-#include "util/config.hpp"
 #include "util/units.hpp"
 
 namespace ugnirt::aggregation {
@@ -39,12 +39,16 @@ struct AggregationConfig {
   /// (UGNIRT_AGG_FLUSH_ON_IDLE).
   bool flush_on_idle = true;
 
-  /// Read "agg.*" keys, falling back to the defaults above.
-  static AggregationConfig from(const Config& cfg);
-  /// Write every knob back as "agg.*" (for env-override round trips).
-  void export_to(Config& cfg) const;
-  /// The "agg.*" key list, for Config::apply_env_overrides.
-  static const char* const* config_keys(std::size_t* count);
+  /// Every knob, keyed "agg.<field>" (UGNIRT_AGG_<FIELD>); see
+  /// util/config.hpp for the generic reader, writer and env applier.
+  template <class Self, class F>
+  static void for_each_knob(Self& c, F&& f) {
+    f("agg.enable", c.enable);
+    f("agg.threshold", c.threshold);
+    f("agg.buffer_bytes", c.buffer_bytes);
+    f("agg.max_delay_ns", c.max_delay_ns);
+    f("agg.flush_on_idle", c.flush_on_idle);
+  }
 };
 
 }  // namespace ugnirt::aggregation

@@ -408,7 +408,7 @@ void Machine::dispatch_batch(Pe& pe, void* msg) {
   // An aggregation batch: deliver every sub-message IN PLACE, inside this
   // one scheduler step (the paper's receive-side aggregation win: recv
   // overhead paid once per batch, items cost only the per-item dispatch
-  // overhead, zero copies).  Sub-messages are flagged kMsgFlagNoFree —
+  // overhead, no per-item buffer).  Sub-messages are flagged kMsgFlagNoFree —
   // they live inside the batch buffer and are valid only for their
   // handler call.  Pack order == arrival order, so per-(src,dest) FIFO
   // holds.  Trace/span gates are hoisted to one check per batch — the
@@ -422,8 +422,14 @@ void Machine::dispatch_batch(Pe& pe, void* msg) {
       payload_of(msg),
       h->size - static_cast<std::uint32_t>(kCmiHeaderBytes),
       [&](const void* sub, std::uint32_t len) {
-        (void)len;
-        void* smsg = const_cast<void*>(sub);
+        // A record's envelope sits 4 bytes past an 8-byte boundary, so
+        // its payload would be misaligned for 8-byte fields.  Slide the
+        // sub-message back over its record header (already read) to give
+        // handlers the same alignment an unbatched message has.
+        void* smsg = const_cast<std::uint8_t*>(
+                         static_cast<const std::uint8_t*>(sub)) -
+                     sizeof(aggregation::SubMsgHeader);
+        std::memmove(smsg, sub, len);
         CmiMsgHeader* sh = header_of(smsg);
         sh->flags |= kMsgFlagNoFree;
         pe.ctx().charge(item_ns);

@@ -106,11 +106,11 @@ struct MachineOptions {
 
   std::uint64_t seed = 0x5eed;
 
-  /// Engine event-queue backend ("sim.queue" config key / UGNIRT_SIM_QUEUE
-  /// env): the binary-heap oracle or the O(1) calendar queue for
-  /// full-machine sweeps.  Backends are bit-identical under a fixed seed;
-  /// this knob only changes wall-clock speed.  Defaults are hermetic —
-  /// environment overrides are applied by lrts::make_machine, not here.
+  /// Engine event-queue backend (UGNIRT_SIM_QUEUE env): the binary-heap
+  /// oracle or the O(1) calendar queue for full-machine sweeps.  Backends
+  /// are bit-identical under a fixed seed; this knob only changes
+  /// wall-clock speed.  Defaults are hermetic — environment overrides are
+  /// applied by lrts::make_machine, not here.
   sim::QueueKind sim_queue = sim::QueueKind::kHeap;
 
   /// PEs per node; 0 means "use mc.cores_per_node".  Micro-benchmarks that

@@ -21,8 +21,9 @@
 // or link never depends on how other actors interleave.  Same seed + same
 // workload => identical fault schedule => identical event trace.
 //
-// Config keys live under "fault.*" and are overridable via UGNIRT_FAULT_*
-// environment variables; `lrts::make_machine` applies them automatically.
+// Config keys live under "fault.*", listed once in FaultPlan::for_each_knob,
+// and are overridable via UGNIRT_FAULT_* environment variables;
+// `lrts::make_machine` applies them straight to the fields.
 #pragma once
 
 #include <cstdint>
@@ -78,12 +79,24 @@ struct FaultPlan {
            p_link_blackout > 0;
   }
 
-  /// Read "fault.*" keys, falling back to the defaults above.
-  static FaultPlan from(const Config& cfg);
-  /// Write every knob back as "fault.*" (for env-override round trips).
-  void export_to(Config& cfg) const;
-  /// The "fault.*" key list, for Config::apply_env_overrides.
-  static const char* const* config_keys(std::size_t* count);
+  /// Every knob, keyed "fault.<field>" (UGNIRT_FAULT_<FIELD>); see
+  /// util/config.hpp for the generic reader, writer and env applier.
+  template <class Self, class F>
+  static void for_each_knob(Self& p, F&& f) {
+    f("fault.enabled", p.enabled);
+    f("fault.seed", p.seed);
+    f("fault.p_post_error", p.p_post_error);
+    f("fault.p_reg_error", p.p_reg_error);
+    f("fault.p_smsg_error", p.p_smsg_error);
+    f("fault.p_cq_overrun", p.p_cq_overrun);
+    f("fault.p_smsg_starve", p.p_smsg_starve);
+    f("fault.smsg_starve_ns", p.smsg_starve_ns);
+    f("fault.p_link_degrade", p.p_link_degrade);
+    f("fault.link_slowdown", p.link_slowdown);
+    f("fault.link_degrade_ns", p.link_degrade_ns);
+    f("fault.p_link_blackout", p.p_link_blackout);
+    f("fault.link_blackout_ns", p.link_blackout_ns);
+  }
 };
 
 /// What a link fault does to one transfer: wait out `delay` ns before the

@@ -16,18 +16,15 @@
 //     `demote_after` attempts is demoted to the rendezvous (INIT/GET/ACK)
 //     path, which does not consume mailbox credits.
 //
-// Config keys live under "retry.*" and are overridable via
-// UGNIRT_RETRY_<NAME> environment variables (see Config::apply_env_overrides).
+// Config keys live under "retry.*", listed once in for_each_knob below, and
+// are overridable via UGNIRT_RETRY_<NAME> environment variables;
+// `lrts::make_machine` applies them straight to the fields.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
 #include "util/units.hpp"
-
-namespace ugnirt {
-class Config;
-}
 
 namespace ugnirt::fault {
 
@@ -55,12 +52,16 @@ struct RetryPolicy {
     return std::min(static_cast<SimTime>(b), backoff_max_ns);
   }
 
-  /// Read "retry.*" keys, falling back to the defaults above.
-  static RetryPolicy from(const Config& cfg);
-  /// Write every knob back as "retry.*" (for env-override round trips).
-  void export_to(Config& cfg) const;
-  /// The "retry.*" key list, for Config::apply_env_overrides.
-  static const char* const* config_keys(std::size_t* count);
+  /// Every knob, keyed "retry.<field>" (UGNIRT_RETRY_<FIELD>); see
+  /// util/config.hpp for the generic reader, writer and env applier.
+  template <class Self, class F>
+  static void for_each_knob(Self& p, F&& f) {
+    f("retry.max_retries", p.max_retries);
+    f("retry.backoff_base_ns", p.backoff_base_ns);
+    f("retry.backoff_mult", p.backoff_mult);
+    f("retry.backoff_max_ns", p.backoff_max_ns);
+    f("retry.demote_after", p.demote_after);
+  }
 };
 
 }  // namespace ugnirt::fault

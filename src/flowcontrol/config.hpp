@@ -2,9 +2,10 @@
 //
 // Lives in its own header so converse/machine.hpp can embed it in
 // MachineOptions without pulling in the estimator/governor machinery.
-// Keys live under "flow.*" and are overridable via UGNIRT_FLOW_*
-// environment variables; `lrts::make_machine` applies them automatically,
-// same as the gemini/fault/retry/agg knobs.
+// Keys live under "flow.*", listed once in FlowConfig::for_each_knob, and
+// are overridable via UGNIRT_FLOW_* environment variables;
+// `lrts::make_machine` applies them straight to the fields, same as the
+// gemini/fault/retry/agg knobs.
 //
 // Every default preserves stock behavior bit-for-bit: with `enable`
 // false no estimator or governor is even constructed, so the hot paths
@@ -12,9 +13,9 @@
 // pattern as the fault injector).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
-#include "util/config.hpp"
 #include "util/units.hpp"
 
 namespace ugnirt::flowcontrol {
@@ -67,12 +68,31 @@ struct FlowConfig {
   /// events (UGNIRT_FLOW_SAMPLE_PERIOD_NS).
   SimTime sample_period_ns = 5000;
 
-  /// Read "flow.*" keys, falling back to the defaults above.
-  static FlowConfig from(const Config& cfg);
-  /// Write every knob back as "flow.*" (for env-override round trips).
-  void export_to(Config& cfg) const;
-  /// The "flow.*" key list, for Config::apply_env_overrides.
-  static const char* const* config_keys(std::size_t* count);
+  /// Every knob, keyed "flow.<field>" (UGNIRT_FLOW_<FIELD>); see
+  /// util/config.hpp for the generic reader, writer and env applier.
+  template <class Self, class F>
+  static void for_each_knob(Self& c, F&& f) {
+    f("flow.enable", c.enable);
+    f("flow.ewma_alpha", c.ewma_alpha);
+    f("flow.hot_threshold", c.hot_threshold);
+    f("flow.window_min", c.window_min);
+    f("flow.window_max", c.window_max);
+    f("flow.window_start", c.window_start);
+    f("flow.aimd_increase", c.aimd_increase);
+    f("flow.aimd_decrease", c.aimd_decrease);
+    f("flow.pace_rendezvous", c.pace_rendezvous);
+    f("flow.adaptive_routing", c.adaptive_routing);
+    f("flow.adapt_thresholds", c.adapt_thresholds);
+    f("flow.sample_period_ns", c.sample_period_ns);
+  }
+
+  /// Keep the window sane whatever the overrides say: min >= 1 so the
+  /// governor can never wedge a PE, and start inside [min, max].
+  void normalize() {
+    window_min = std::max<std::uint32_t>(window_min, 1);
+    window_max = std::max(window_max, window_min);
+    window_start = std::clamp(window_start, window_min, window_max);
+  }
 };
 
 }  // namespace ugnirt::flowcontrol

@@ -3,7 +3,8 @@
 //
 // Every constant is an anchor taken from the paper's measurements on Hopper
 // (Cray XE6) or from the Gemini hardware description [Alverson et al.,
-// HOTI'10], and can be overridden through util::Config for ablations:
+// HOTI'10], and can be overridden for ablations from a config file or a
+// UGNIRT_GEMINI_* variable through MachineConfig::for_each_knob:
 //
 //   * 8-byte one-way latency: ~1.2 us pure uGNI, ~1.6 us uGNI-CHARM++,
 //     ~3 us MPI-based CHARM++ (paper Fig 1 / Fig 9a).
@@ -18,7 +19,6 @@
 
 #include <cstdint>
 
-#include "util/config.hpp"
 #include "util/units.hpp"
 
 namespace ugnirt::gemini {
@@ -161,11 +161,65 @@ struct MachineConfig {
     return (bytes + page_bytes - 1) / page_bytes;
   }
 
-  /// Load overrides from a Config (keys named like "gemini.hop_ns").
-  static MachineConfig from(const Config& cfg);
-
-  /// Export all values to a Config (for logging experiment provenance).
-  void export_to(Config& cfg) const;
+  /// Every knob, keyed "gemini.<field>" (UGNIRT_GEMINI_<FIELD>); read,
+  /// written and env-overridden by the generic helpers in util/config.hpp.
+  template <class Self, class F>
+  static void for_each_knob(Self& m, F&& f) {
+    f("gemini.cores_per_node", m.cores_per_node);
+    f("gemini.hop_ns", m.hop_ns);
+    f("gemini.link_bw", m.link_bw);
+    f("gemini.smsg_cpu_send_ns", m.smsg_cpu_send_ns);
+    f("gemini.smsg_wire_startup_ns", m.smsg_wire_startup_ns);
+    f("gemini.smsg_per_byte_ns", m.smsg_per_byte_ns);
+    f("gemini.smsg_cpu_recv_ns", m.smsg_cpu_recv_ns);
+    f("gemini.smsg_max_bytes", m.smsg_max_bytes);
+    f("gemini.smsg_mailbox_credits", m.smsg_mailbox_credits);
+    f("gemini.cq_entries", m.cq_entries);
+    f("gemini.fma_put_startup_ns", m.fma_put_startup_ns);
+    f("gemini.fma_get_startup_ns", m.fma_get_startup_ns);
+    f("gemini.fma_bw", m.fma_bw);
+    f("gemini.fma_desc_ns", m.fma_desc_ns);
+    f("gemini.bte_put_startup_ns", m.bte_put_startup_ns);
+    f("gemini.bte_get_startup_ns", m.bte_get_startup_ns);
+    f("gemini.bte_bw", m.bte_bw);
+    f("gemini.bte_desc_ns", m.bte_desc_ns);
+    f("gemini.malloc_base_ns", m.malloc_base_ns);
+    f("gemini.malloc_per_page_ns", m.malloc_per_page_ns);
+    f("gemini.free_base_ns", m.free_base_ns);
+    f("gemini.mem_reg_base_ns", m.mem_reg_base_ns);
+    f("gemini.mem_reg_per_page_ns", m.mem_reg_per_page_ns);
+    f("gemini.mem_dereg_base_ns", m.mem_dereg_base_ns);
+    f("gemini.mem_dereg_per_page_ns", m.mem_dereg_per_page_ns);
+    f("gemini.page_bytes", m.page_bytes);
+    f("gemini.memcpy_base_ns", m.memcpy_base_ns);
+    f("gemini.memcpy_bw", m.memcpy_bw);
+    f("gemini.cq_poll_ns", m.cq_poll_ns);
+    f("gemini.cq_event_ns", m.cq_event_ns);
+    f("gemini.mempool_alloc_ns", m.mempool_alloc_ns);
+    f("gemini.mempool_free_ns", m.mempool_free_ns);
+    f("gemini.mempool_init_bytes", m.mempool_init_bytes);
+    f("gemini.charm_send_overhead_ns", m.charm_send_overhead_ns);
+    f("gemini.charm_recv_overhead_ns", m.charm_recv_overhead_ns);
+    f("gemini.sched_loop_ns", m.sched_loop_ns);
+    f("gemini.agg_item_overhead_ns", m.agg_item_overhead_ns);
+    f("gemini.rdma_threshold", m.rdma_threshold);
+    f("gemini.mpi_call_overhead_ns", m.mpi_call_overhead_ns);
+    f("gemini.mpi_match_ns", m.mpi_match_ns);
+    f("gemini.mpi_iprobe_ns", m.mpi_iprobe_ns);
+    f("gemini.mpi_iprobe_scan_ns", m.mpi_iprobe_scan_ns);
+    f("gemini.mpi_iprobe_conn_ns", m.mpi_iprobe_conn_ns);
+    f("gemini.mpi_iprobe_conn_free", m.mpi_iprobe_conn_free);
+    f("gemini.mpi_eager_threshold", m.mpi_eager_threshold);
+    f("gemini.mpi_rdma_threshold", m.mpi_rdma_threshold);
+    f("gemini.udreg_capacity", m.udreg_capacity);
+    f("gemini.udreg_hit_ns", m.udreg_hit_ns);
+    f("gemini.mpi_xpmem_threshold", m.mpi_xpmem_threshold);
+    f("gemini.mpi_xpmem_overhead_ns", m.mpi_xpmem_overhead_ns);
+    f("gemini.mpi_shm_notify_ns", m.mpi_shm_notify_ns);
+    f("gemini.mpi_mailbox_credits", m.mpi_mailbox_credits);
+    f("gemini.pxshm_notify_ns", m.pxshm_notify_ns);
+    f("gemini.pxshm_poll_ns", m.pxshm_poll_ns);
+  }
 };
 
 }  // namespace ugnirt::gemini

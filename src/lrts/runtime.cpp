@@ -1,8 +1,11 @@
 #include "lrts/runtime.hpp"
 
+#include <cstdlib>
+
 #include "lrts/mpi_layer.hpp"
 #include "lrts/smp_layer.hpp"
 #include "lrts/ugni_layer.hpp"
+#include "util/config.hpp"
 
 namespace ugnirt::lrts {
 
@@ -10,29 +13,16 @@ std::unique_ptr<converse::Machine> make_machine(
     converse::LayerKind kind, const converse::MachineOptions& options_in) {
   converse::MachineOptions options = options_in;
   options.layer = kind;
-  // Honor UGNIRT_GEMINI_* / UGNIRT_FAULT_* / UGNIRT_RETRY_* / UGNIRT_AGG_*
-  // / UGNIRT_FLOW_* / UGNIRT_SIM_* environment overrides for every model
-  // constant, fault knob, retry knob, aggregation knob, flow-control knob
-  // and the engine's queue backend, so experiments and ablations can
-  // retune the machine without rebuilds.
-  {
-    Config cfg;
-    options.mc.export_to(cfg);
-    options.fault.export_to(cfg);
-    options.retry.export_to(cfg);
-    options.aggregation.export_to(cfg);
-    options.flow.export_to(cfg);
-    options.tenancy.export_to(cfg);
-    cfg.set("sim.queue", sim::to_string(options.sim_queue));
-    cfg.apply_env_overrides();
-    options.mc = gemini::MachineConfig::from(cfg);
-    options.fault = fault::FaultPlan::from(cfg);
-    options.retry = fault::RetryPolicy::from(cfg);
-    options.aggregation = aggregation::AggregationConfig::from(cfg);
-    options.flow = flowcontrol::FlowConfig::from(cfg);
-    options.tenancy = tenancy::TenancyConfig::from(cfg);
-    sim::queue_kind_from_string(cfg.get_string_or("sim.queue", "heap"),
-                                &options.sim_queue);
+  // UGNIRT_<KEY> overrides land directly on the fields, so every value
+  // the caller set and no variable names reaches the machine bit-exact.
+  apply_env_knobs(options.mc);
+  apply_env_knobs(options.fault);
+  apply_env_knobs(options.retry);
+  apply_env_knobs(options.aggregation);
+  apply_env_knobs(options.flow);
+  apply_env_knobs(options.tenancy);
+  if (const char* q = std::getenv("UGNIRT_SIM_QUEUE")) {
+    sim::queue_kind_from_string(q, &options.sim_queue);
   }
   std::unique_ptr<converse::MachineLayer> layer;
   switch (kind) {

@@ -6,11 +6,14 @@
 //
 // `make_machine(kind, options)` is the canonical entry point: the layer is
 // an explicit argument (it *is* the link decision, not another tunable
-// buried in the options bag), and every config sub-struct riding in
+// buried in the options bag).  Every config sub-struct riding in
 // MachineOptions — the gemini::MachineConfig cost model, the
-// fault::FaultPlan and the fault::RetryPolicy — is re-resolved through a
-// Config round trip so UGNIRT_GEMINI_* / UGNIRT_FAULT_* / UGNIRT_RETRY_*
-// environment overrides apply without a rebuild.
+// fault::FaultPlan, the fault::RetryPolicy and the aggregation, flow and
+// tenancy configs — takes its UGNIRT_<KEY> environment overrides through
+// its own knob list (util/config.hpp's apply_env_knobs), straight onto the
+// fields: a value no variable names reaches the machine unchanged (bar the
+// struct's clamps), and a malformed variable warns and keeps the caller's
+// value.
 #pragma once
 
 #include <memory>
@@ -20,8 +23,9 @@
 namespace ugnirt::lrts {
 
 /// Build a machine running layer `kind` (overrides `options.layer`), with
-/// UGNIRT_GEMINI_* / UGNIRT_FAULT_* / UGNIRT_RETRY_* environment overrides
-/// applied on top of the passed-in options.
+/// UGNIRT_GEMINI_* / UGNIRT_FAULT_* / UGNIRT_RETRY_* / UGNIRT_AGG_* /
+/// UGNIRT_FLOW_* / UGNIRT_TENANCY_* / UGNIRT_SIM_QUEUE overrides applied on
+/// top of the passed-in options and each struct's clamps (normalize()) run.
 std::unique_ptr<converse::Machine> make_machine(
     converse::LayerKind kind, const converse::MachineOptions& options = {});
 

@@ -39,7 +39,7 @@ namespace ugnirt::sim {
 /// that reads the environment is from_env() — call sites choose which
 /// they mean.
 struct EngineOptions {
-  /// Pending-set backend ("sim.queue" / UGNIRT_SIM_QUEUE).
+  /// Pending-set backend (UGNIRT_SIM_QUEUE).
   QueueKind queue = QueueKind::kHeap;
 
   /// Options with UGNIRT_SIM_QUEUE applied over the defaults.

@@ -67,8 +67,8 @@ struct Event {
   EventRecord* rec;
 };
 
-/// Selects the Engine's queue backend (MachineOptions::sim_queue,
-/// config key "sim.queue", env UGNIRT_SIM_QUEUE).
+/// Selects the Engine's queue backend (MachineOptions::sim_queue, env
+/// UGNIRT_SIM_QUEUE).
 enum class QueueKind {
   kHeap,      ///< binary heap oracle (default)
   kCalendar,  ///< O(1) calendar queue for full-machine sweeps

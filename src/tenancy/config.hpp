@@ -2,9 +2,10 @@
 //
 // Lives in its own header so converse/machine.hpp can embed it in
 // MachineOptions without pulling in the JobManager/generator machinery.
-// Keys live under "tenancy.*" and are overridable via UGNIRT_TENANCY_*
-// environment variables; `lrts::make_machine` applies them automatically,
-// same as the gemini/fault/retry/agg/flow knobs.
+// Keys live under "tenancy.*", listed once in TenancyConfig::for_each_knob,
+// and are overridable via UGNIRT_TENANCY_* environment variables;
+// `lrts::make_machine` applies them straight to the fields, same as the
+// gemini/fault/retry/agg/flow knobs.
 //
 // Every default preserves stock behavior bit-for-bit: with `enable`
 // false no JobManager is constructed and nothing in the send path even
@@ -13,8 +14,6 @@
 
 #include <cstdint>
 #include <string>
-
-#include "util/config.hpp"
 
 namespace ugnirt::tenancy {
 
@@ -60,12 +59,27 @@ struct TenancyConfig {
   std::uint32_t qos_scavenger_ceiling = 2;
   std::uint32_t qos_scavenger_quota = 1;
 
-  /// Read "tenancy.*" keys, falling back to the defaults above.
-  static TenancyConfig from(const Config& cfg);
-  /// Write every knob back as "tenancy.*" (for env-override round trips).
-  void export_to(Config& cfg) const;
-  /// The "tenancy.*" key list, for Config::apply_env_overrides.
-  static const char* const* config_keys(std::size_t* count);
+  /// Every knob, keyed "tenancy.<field>" (UGNIRT_TENANCY_<FIELD>); see
+  /// util/config.hpp for the generic reader, writer and env applier.
+  template <class Self, class F>
+  static void for_each_knob(Self& c, F&& f) {
+    f("tenancy.enable", c.enable);
+    f("tenancy.placement", c.placement);
+    f("tenancy.seed", c.seed);
+    f("tenancy.jobs", c.jobs);
+    f("tenancy.qos_enable", c.qos_enable);
+    f("tenancy.qos_latency_floor", c.qos_latency_floor);
+    f("tenancy.qos_bulk_ceiling", c.qos_bulk_ceiling);
+    f("tenancy.qos_bulk_quota", c.qos_bulk_quota);
+    f("tenancy.qos_scavenger_ceiling", c.qos_scavenger_ceiling);
+    f("tenancy.qos_scavenger_quota", c.qos_scavenger_quota);
+  }
+
+  /// Keep the classes meaningful whatever the overrides say: a latency
+  /// floor of 0 would demote the class to best-effort, ceilings of 0
+  /// would wedge bulk jobs outright, and an unknown placement falls back
+  /// to "compact".
+  void normalize();
 };
 
 }  // namespace ugnirt::tenancy

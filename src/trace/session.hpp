@@ -6,7 +6,10 @@
 //   UGNIRT_SPAN_SAMPLE=N      sample every Nth message's lifecycle span
 //                             (activates the session even without
 //                             UGNIRT_TRACE; 0/unset = spans off)
-//   UGNIRT_SPAN_MAX_SPANS=N   retained-span cap (default 1M)
+//   UGNIRT_SPAN_MAX_SPANS=N   retained-span cap (default 1M; 0 = default)
+//
+// The two span knobs are SpanConfig's knob list, read by apply_env_knobs
+// (util/config.hpp): a malformed value warns and keeps the default.
 //
 // When active, the session installs a global EventTracer (see events.hpp)
 // — plus a global SpanCollector when span sampling is on (spans.hpp) —

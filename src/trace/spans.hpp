@@ -18,7 +18,8 @@
 // end-to-end latency (last mark minus first).
 //
 // Sampling is controlled by `UGNIRT_SPAN_SAMPLE=N` (every Nth submitted
-// message starts a span; 0 = off) and is *zero-cost when off*: every
+// message starts a span; 0 = off; SpanConfig::for_each_knob lists it and
+// the trace session applies it) and is *zero-cost when off*: every
 // emission site is guarded by `spans_enabled()`, one inlined pointer test,
 // and no allocation or atomic happens on the unsampled path.  The span id
 // rides in the Converse envelope (CmiMsgHeader::span_id), so it survives
@@ -32,10 +33,6 @@
 #include <vector>
 
 #include "util/units.hpp"
-
-namespace ugnirt {
-class Config;
-}
 
 namespace ugnirt::trace {
 
@@ -60,9 +57,18 @@ struct SpanConfig {
   std::uint64_t sample = 0;            // start a span every Nth submit; 0=off
   std::uint64_t max_spans = 1u << 20;  // retained-span cap (memory bound)
 
-  static SpanConfig from(const Config& cfg);
-  void export_to(Config& cfg) const;
-  static const char* const* config_keys(std::size_t* count);
+  /// Every knob, keyed "span.<field>" (UGNIRT_SPAN_<FIELD>); see
+  /// util/config.hpp for the generic reader, writer and env applier.
+  template <class Self, class F>
+  static void for_each_knob(Self& c, F&& f) {
+    f("span.sample", c.sample);
+    f("span.max_spans", c.max_spans);
+  }
+
+  /// A cap of 0 means the default cap, not "retain nothing".
+  void normalize() {
+    if (max_spans == 0) max_spans = SpanConfig{}.max_spans;
+  }
 };
 
 struct SpanMark {

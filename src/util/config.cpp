@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/log.hpp"
+
 namespace ugnirt {
 
 namespace {
@@ -19,7 +21,17 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-std::string to_env_name(const std::string& key) {
+template <class T>
+std::optional<T> get_parsed(const Config& cfg, const std::string& key) {
+  auto s = cfg.get_string(key);
+  T v{};
+  if (!s || !parse_value(*s, &v)) return std::nullopt;
+  return v;
+}
+
+}  // namespace
+
+std::string env_name(std::string_view key) {
   std::string out = "UGNIRT_";
   for (char c : key) {
     if (c == '.' || c == '-') {
@@ -32,7 +44,50 @@ std::string to_env_name(const std::string& key) {
   return out;
 }
 
-}  // namespace
+bool parse_value(std::string_view text, bool* out) {
+  std::string v(text);
+  std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
+  if (v == "1" || v == "true" || v == "yes" || v == "on") {
+    *out = true;
+  } else if (v == "0" || v == "false" || v == "no" || v == "off") {
+    *out = false;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+bool parse_value(std::string_view text, double* out) {
+  const std::string s(text);
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
+  *out = v;
+  return true;
+}
+
+bool parse_value(std::string_view text, std::string* out) {
+  *out = text;
+  return true;
+}
+
+std::string format_value(bool v) { return v ? "true" : "false"; }
+
+std::string format_value(double v) {
+  char buf[32];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, end);
+}
+
+std::string format_value(const std::string& v) { return v; }
+
+void warn_bad_value(std::string_view source, std::string_view text) {
+  UGNIRT_WARN(source << "=\"" << text
+                     << "\" is not a valid value; keeping the current one");
+}
 
 bool Config::parse_string(const std::string& text) {
   std::istringstream in(text);
@@ -71,24 +126,8 @@ bool Config::parse_file(const std::string& path) {
   return parse_string(ss.str());
 }
 
-void Config::apply_env_overrides(const std::vector<std::string>& extra_keys) {
-  std::vector<std::string> keys;
-  keys.reserve(values_.size() + extra_keys.size());
-  for (const auto& [k, _] : values_) keys.push_back(k);
-  keys.insert(keys.end(), extra_keys.begin(), extra_keys.end());
-  for (const auto& key : keys) {
-    if (const char* v = std::getenv(to_env_name(key).c_str())) {
-      values_[key] = v;
-    }
-  }
-}
-
 void Config::set(const std::string& key, const std::string& value) {
   values_[key] = value;
-}
-
-bool Config::contains(const std::string& key) const {
-  return values_.count(key) != 0;
 }
 
 std::optional<std::string> Config::get_string(const std::string& key) const {
@@ -98,35 +137,15 @@ std::optional<std::string> Config::get_string(const std::string& key) const {
 }
 
 std::optional<std::int64_t> Config::get_int(const std::string& key) const {
-  auto s = get_string(key);
-  if (!s) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(s->c_str(), &end, 0);
-  if (errno != 0 || end == s->c_str() || *end != '\0') return std::nullopt;
-  return static_cast<std::int64_t>(v);
+  return get_parsed<std::int64_t>(*this, key);
 }
 
 std::optional<double> Config::get_double(const std::string& key) const {
-  auto s = get_string(key);
-  if (!s) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(s->c_str(), &end);
-  if (errno != 0 || end == s->c_str() || *end != '\0') return std::nullopt;
-  return v;
+  return get_parsed<double>(*this, key);
 }
 
 std::optional<bool> Config::get_bool(const std::string& key) const {
-  auto s = get_string(key);
-  if (!s) return std::nullopt;
-  std::string v = *s;
-  std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  return std::nullopt;
+  return get_parsed<bool>(*this, key);
 }
 
 std::string Config::get_string_or(const std::string& key,

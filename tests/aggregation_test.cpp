@@ -111,8 +111,9 @@ TEST(AggConfig, RoundTrip) {
   p.max_delay_ns = 7500;
   p.flush_on_idle = false;
   Config cfg;
-  p.export_to(cfg);
-  aggregation::AggregationConfig q = aggregation::AggregationConfig::from(cfg);
+  write_knobs(p, cfg);
+  aggregation::AggregationConfig q;
+  read_knobs(cfg, q);
   EXPECT_TRUE(q.enable);
   EXPECT_EQ(q.threshold, 192u);
   EXPECT_EQ(q.buffer_bytes, 2048u);

@@ -28,7 +28,8 @@ TEST(ConfigFile, HopperCfgParsesAndMatchesDefaults) {
   ASSERT_TRUE(cfg.parse_file(path)) << cfg.last_error();
   EXPECT_GT(cfg.size(), 30u);
 
-  gemini::MachineConfig from_file = gemini::MachineConfig::from(cfg);
+  gemini::MachineConfig from_file;
+  read_knobs(cfg, from_file);
   gemini::MachineConfig defaults;
 
   // Spot-check a representative field from each section.
@@ -48,8 +49,8 @@ TEST(ConfigFile, HopperCfgParsesAndMatchesDefaults) {
 
   // Full-field agreement via the canonical dump.
   Config defaults_cfg, file_cfg;
-  defaults.export_to(defaults_cfg);
-  from_file.export_to(file_cfg);
+  write_knobs(defaults, defaults_cfg);
+  write_knobs(from_file, file_cfg);
   EXPECT_EQ(defaults_cfg.dump(), file_cfg.dump());
 }
 

@@ -59,8 +59,9 @@ TEST(RetryPolicy, ConfigRoundTrip) {
   p.backoff_max_ns = 9000;
   p.demote_after = 2;
   Config cfg;
-  p.export_to(cfg);
-  fault::RetryPolicy q = fault::RetryPolicy::from(cfg);
+  write_knobs(p, cfg);
+  fault::RetryPolicy q;
+  read_knobs(cfg, q);
   EXPECT_EQ(q.max_retries, 3);
   EXPECT_EQ(q.backoff_base_ns, 250);
   EXPECT_DOUBLE_EQ(q.backoff_mult, 3.0);
@@ -84,8 +85,9 @@ TEST(FaultPlan, ConfigRoundTrip) {
   p.p_link_blackout = 0.35;
   p.link_blackout_ns = 13000;
   Config cfg;
-  p.export_to(cfg);
-  fault::FaultPlan q = fault::FaultPlan::from(cfg);
+  write_knobs(p, cfg);
+  fault::FaultPlan q;
+  read_knobs(cfg, q);
   EXPECT_TRUE(q.enabled);
   EXPECT_EQ(q.seed, 12345u);
   EXPECT_DOUBLE_EQ(q.p_post_error, 0.1);

@@ -59,8 +59,9 @@ TEST(FlowConfig, RoundTrip) {
   p.adapt_thresholds = false;
   p.sample_period_ns = 12345;
   Config cfg;
-  p.export_to(cfg);
-  FlowConfig q = FlowConfig::from(cfg);
+  write_knobs(p, cfg);
+  FlowConfig q;
+  read_knobs(cfg, q);
   EXPECT_TRUE(q.enable);
   EXPECT_DOUBLE_EQ(q.ewma_alpha, 0.25);
   EXPECT_DOUBLE_EQ(q.hot_threshold, 0.4);
@@ -82,7 +83,8 @@ TEST(FlowConfig, ClampsWindowBounds) {
   cfg.set("flow.window_min", "0");
   cfg.set("flow.window_max", "0");
   cfg.set("flow.window_start", "99");
-  FlowConfig f = FlowConfig::from(cfg);
+  FlowConfig f;
+  read_knobs(cfg, f);
   EXPECT_GE(f.window_min, 1u);
   EXPECT_GE(f.window_max, f.window_min);
   EXPECT_GE(f.window_start, f.window_min);

@@ -3,13 +3,16 @@
 // balanced QD counters and deterministic virtual time.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "charm/charm.hpp"
 #include "lrts/runtime.hpp"
 #include "lrts/ugni_layer.hpp"
+#include "util/log.hpp"
 
 namespace ugnirt {
 namespace {
@@ -222,13 +225,85 @@ TEST(Integration, MailboxAccountingGrowsWithActivePairs) {
 
 TEST(Integration, EnvironmentOverridesReachTheMachineModel) {
   ::setenv("UGNIRT_GEMINI_BTE_BW", "11.5", 1);
-  Config cfg;
-  gemini::MachineConfig defaults;
-  defaults.export_to(cfg);
-  cfg.apply_env_overrides();
-  gemini::MachineConfig m = gemini::MachineConfig::from(cfg);
-  EXPECT_DOUBLE_EQ(m.bte_bw, 11.5);
+  auto m = lrts::make_machine(LayerKind::kUgni, MachineOptions{});
   ::unsetenv("UGNIRT_GEMINI_BTE_BW");
+  EXPECT_DOUBLE_EQ(m->options().mc.bte_bw, 11.5);
+}
+
+// With no UGNIRT_* variable set, make_machine hands every caller value to
+// the machine bit-exact: seeds at or above 2^63, probabilities below 1e-6
+// and doubles that need all 17 significant digits included.
+TEST(MakeMachine, CallerValuesSurviveBitExact) {
+  MachineOptions o;
+  o.mc.link_bw = 1.0 / 3.0;
+  o.mc.hop_ns = 123;
+  o.fault.seed = 0x8000000000000001ull;
+  o.fault.p_post_error = 4e-7;
+  o.retry.backoff_mult = 1.0 / 7.0;
+  o.aggregation.threshold = 512;
+  o.flow.ewma_alpha = 0.1 + 0.2;
+  o.flow.window_start = 9;
+  o.tenancy.seed = 0xF000000000000000ull;
+  o.tenancy.jobs = "a:latency:1,b:bulk:1";
+  auto m = lrts::make_machine(LayerKind::kUgni, o);
+  const MachineOptions& got = m->options();
+  EXPECT_EQ(got.mc.link_bw, 1.0 / 3.0);
+  EXPECT_EQ(got.mc.hop_ns, 123);
+  EXPECT_EQ(got.fault.seed, 0x8000000000000001ull);
+  EXPECT_EQ(got.fault.p_post_error, 4e-7);
+  EXPECT_EQ(got.retry.backoff_mult, 1.0 / 7.0);
+  EXPECT_EQ(got.aggregation.threshold, 512u);
+  EXPECT_EQ(got.flow.ewma_alpha, 0.1 + 0.2);
+  EXPECT_EQ(got.flow.window_start, 9u);
+  EXPECT_EQ(got.tenancy.seed, 0xF000000000000000ull);
+  EXPECT_EQ(got.tenancy.jobs, "a:latency:1,b:bulk:1");
+}
+
+std::vector<std::string>* g_warnings = nullptr;
+
+void capture_warning(LogLevel level, const std::string& line) {
+  if (level == LogLevel::kWarn) g_warnings->push_back(line);
+}
+
+// A malformed or out-of-range override keeps the caller's value (never the
+// struct default, never a negative wrapped into an unsigned field) and logs
+// one warning naming the variable.
+TEST(MakeMachine, MalformedEnvKeepsCallerValueAndWarns) {
+  const char* const vars[] = {"UGNIRT_FLOW_ENABLE", "UGNIRT_AGG_THRESHOLD",
+                              "UGNIRT_GEMINI_SMSG_MAX_BYTES",
+                              "UGNIRT_RETRY_MAX_RETRIES"};
+  ::setenv(vars[0], "maybe", 1);
+  ::setenv(vars[1], "1k", 1);
+  ::setenv(vars[2], "-1", 1);
+  ::setenv(vars[3], "4294967296", 1);
+  std::vector<std::string> warnings;
+  g_warnings = &warnings;
+  const LogLevel saved = log_threshold();
+  set_log_threshold(LogLevel::kWarn);
+  set_log_sink(capture_warning);
+  MachineOptions o;
+  o.flow.enable = true;
+  o.aggregation.threshold = 512;
+  o.mc.smsg_max_bytes = 2048;
+  o.retry.max_retries = 3;
+  auto m = lrts::make_machine(LayerKind::kUgni, o);
+  set_log_sink(nullptr);
+  set_log_threshold(saved);
+  g_warnings = nullptr;
+  for (const char* v : vars) ::unsetenv(v);
+
+  EXPECT_TRUE(m->options().flow.enable);
+  EXPECT_EQ(m->options().aggregation.threshold, 512u);
+  EXPECT_EQ(m->options().mc.smsg_max_bytes, 2048u);
+  EXPECT_EQ(m->options().retry.max_retries, 3);
+  ASSERT_EQ(warnings.size(), 4u);
+  for (const char* v : vars) {
+    int hits = 0;
+    for (const std::string& w : warnings) {
+      if (w.find(v) != std::string::npos) ++hits;
+    }
+    EXPECT_EQ(hits, 1) << v;
+  }
 }
 
 TEST(Integration, VirtualWallTimerAdvancesMonotonically) {

@@ -55,8 +55,9 @@ TEST(TenancyConfig, RoundTrip) {
   t.qos_scavenger_ceiling = 4;
   t.qos_scavenger_quota = 2;
   Config cfg;
-  t.export_to(cfg);
-  TenancyConfig q = TenancyConfig::from(cfg);
+  write_knobs(t, cfg);
+  TenancyConfig q;
+  read_knobs(cfg, q);
   EXPECT_TRUE(q.enable);
   EXPECT_EQ(q.placement, "scatter");
   EXPECT_EQ(q.seed, 0xBEEFu);
@@ -78,7 +79,8 @@ TEST(TenancyConfig, ClampsKeepClassesMeaningful) {
   cfg.set("tenancy.qos_bulk_ceiling", "0");
   cfg.set("tenancy.qos_scavenger_ceiling", "0");
   cfg.set("tenancy.placement", "diagonal");
-  TenancyConfig t = TenancyConfig::from(cfg);
+  TenancyConfig t;
+  read_knobs(cfg, t);
   EXPECT_GE(t.qos_latency_floor, 1u);
   EXPECT_GE(t.qos_bulk_ceiling, 1u);
   EXPECT_GE(t.qos_scavenger_ceiling, 1u);

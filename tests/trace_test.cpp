@@ -632,22 +632,26 @@ TEST(Spans, ConfigRoundTripAndEnvOverride) {
   sc.sample = 7;
   sc.max_spans = 12345;
   Config cfg;
-  sc.export_to(cfg);
-  trace::SpanConfig rt = trace::SpanConfig::from(cfg);
+  write_knobs(sc, cfg);
+  trace::SpanConfig rt;
+  read_knobs(cfg, rt);
   EXPECT_EQ(rt.sample, 7u);
   EXPECT_EQ(rt.max_spans, 12345u);
 
-  // UGNIRT_SPAN_SAMPLE must override the exported value via the standard
-  // "span.sample" -> env-name mapping.
-  std::size_t nkeys = 0;
-  const char* const* keys = trace::SpanConfig::config_keys(&nkeys);
-  ASSERT_EQ(nkeys, 2u);
-  EXPECT_STREQ(keys[0], "span.sample");
+  // UGNIRT_SPAN_SAMPLE must override the value via the standard
+  // "span.sample" -> env-name mapping, leaving the other knob alone.
   setenv("UGNIRT_SPAN_SAMPLE", "31", 1);
-  cfg.apply_env_overrides({keys, keys + nkeys});
+  apply_env_knobs(rt);
+  EXPECT_EQ(rt.sample, 31u);
+  EXPECT_EQ(rt.max_spans, 12345u);
+
+  // UGNIRT_SPAN_MAX_SPANS=0 means the default cap, not "retain nothing".
+  setenv("UGNIRT_SPAN_MAX_SPANS", "0", 1);
+  apply_env_knobs(rt);
   unsetenv("UGNIRT_SPAN_SAMPLE");
-  EXPECT_EQ(trace::SpanConfig::from(cfg).sample, 31u);
-  EXPECT_EQ(trace::SpanConfig::from(cfg).max_spans, 12345u);
+  unsetenv("UGNIRT_SPAN_MAX_SPANS");
+  EXPECT_EQ(rt.sample, 31u);
+  EXPECT_EQ(rt.max_spans, trace::SpanConfig{}.max_spans);
 }
 
 // ---------------------------------------------------------------------------

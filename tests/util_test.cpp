@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <set>
+#include <string>
 
 #include "util/config.hpp"
 #include "util/rng.hpp"
@@ -148,16 +150,99 @@ TEST(Config, SetOverridesAndDumpIsSorted) {
   EXPECT_EQ(c.dump(), "a = 2\nz = 3\n");
 }
 
+struct TwoKnobs {
+  std::int64_t some = 1;
+  std::uint32_t extra = 2;
+
+  template <class Self, class F>
+  static void for_each_knob(Self& s, F&& f) {
+    f("some.key", s.some);
+    f("extra.key", s.extra);
+  }
+};
+
 TEST(Config, EnvOverrideAppliesToKnownAndExtraKeys) {
-  Config c;
-  ASSERT_TRUE(c.parse_string("some.key = 1\n"));
+  TwoKnobs k;
   ::setenv("UGNIRT_SOME_KEY", "42", 1);
   ::setenv("UGNIRT_EXTRA_KEY", "7", 1);
-  c.apply_env_overrides({"extra.key"});
-  EXPECT_EQ(c.get_int_or("some.key", -1), 42);
-  EXPECT_EQ(c.get_int_or("extra.key", -1), 7);
+  apply_env_knobs(k);
+  EXPECT_EQ(k.some, 42);
+  EXPECT_EQ(k.extra, 7u);
   ::unsetenv("UGNIRT_SOME_KEY");
   ::unsetenv("UGNIRT_EXTRA_KEY");
+}
+
+// Only decimal and 0x hex count: a leading zero is decimal, not octal.
+TEST(Config, GetIntReadsDecimalAndHexOnly) {
+  Config c;
+  ASSERT_TRUE(c.parse_string(
+      "lead = 0105\nhex = 0x45\nneg = -0x10\neight = 08\nzero = 0\n"
+      "oct = 0o7\nplus = +5\n"));
+  EXPECT_EQ(c.get_int("lead"), 105);
+  EXPECT_EQ(c.get_int("hex"), 69);
+  EXPECT_EQ(c.get_int("neg"), -16);
+  EXPECT_EQ(c.get_int("eight"), 8);
+  EXPECT_EQ(c.get_int("zero"), 0);
+  EXPECT_FALSE(c.get_int("oct").has_value());
+  EXPECT_FALSE(c.get_int("plus").has_value());
+}
+
+TEST(Config, IntegerKnobsTakeTheirTypesFullRange) {
+  std::uint64_t u64 = 5;
+  EXPECT_TRUE(parse_value("18446744073709551615", &u64));
+  EXPECT_EQ(u64, UINT64_MAX);
+  EXPECT_TRUE(parse_value("0xF000000000000000", &u64));
+  EXPECT_EQ(u64, 0xF000000000000000ull);
+  EXPECT_FALSE(parse_value("18446744073709551616", &u64));
+  EXPECT_FALSE(parse_value("-1", &u64));  // no wrap-around
+  EXPECT_EQ(u64, 0xF000000000000000ull);  // failures leave the field alone
+
+  std::uint32_t u32 = 5;
+  EXPECT_TRUE(parse_value("4294967295", &u32));
+  EXPECT_EQ(u32, UINT32_MAX);
+  EXPECT_FALSE(parse_value("4294967296", &u32));
+  EXPECT_FALSE(parse_value("-1", &u32));
+  EXPECT_FALSE(parse_value("1k", &u32));
+  EXPECT_FALSE(parse_value("", &u32));
+  EXPECT_EQ(u32, UINT32_MAX);
+
+  std::int64_t i64 = 0;
+  EXPECT_TRUE(parse_value("-9223372036854775808", &i64));
+  EXPECT_EQ(i64, INT64_MIN);
+  EXPECT_FALSE(parse_value("9223372036854775808", &i64));
+  int i = 0;
+  EXPECT_TRUE(parse_value("-2147483648", &i));
+  EXPECT_EQ(i, INT32_MIN);
+  EXPECT_FALSE(parse_value("2147483648", &i));
+}
+
+struct Mixed {
+  double d = 1.0 / 3.0;
+  double tiny = 4e-7;
+  std::uint64_t seed = 0x8000000000000001ull;
+  bool flag = true;
+  std::string name = "a b";
+
+  template <class Self, class F>
+  static void for_each_knob(Self& s, F&& f) {
+    f("m.d", s.d);
+    f("m.tiny", s.tiny);
+    f("m.seed", s.seed);
+    f("m.flag", s.flag);
+    f("m.name", s.name);
+  }
+};
+
+TEST(Config, WrittenKnobsReadBackBitExact) {
+  Config cfg;
+  write_knobs(Mixed{}, cfg);
+  Mixed back{0.0, 0.0, 0, false, ""};
+  read_knobs(cfg, back);
+  EXPECT_EQ(back.d, 1.0 / 3.0);
+  EXPECT_EQ(back.tiny, 4e-7);
+  EXPECT_EQ(back.seed, 0x8000000000000001ull);
+  EXPECT_TRUE(back.flag);
+  EXPECT_EQ(back.name, "a b");
 }
 
 // ---------------------------------------------------------------- stats ----
